@@ -50,6 +50,7 @@ from .verify import (
     TightnessReport,
     balanced_check,
     frame_check,
+    full_check,
     moments_check,
     tightness_check,
     weight_constancy_check,

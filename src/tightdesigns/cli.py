@@ -143,9 +143,7 @@ def _cmd_construct(args) -> int:
                 constructions.HalfSizeBlock, constructions.DegenerateDesign) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
-    if not (verify.moments_check(design, 2).ok and verify.tightness_check(design).tight
-            and verify.frame_check(design) and verify.weight_constancy_check(design)
-            and designs.relation_profile(design).is_coherent):
+    if not all(ok for _, ok in verify.full_check(design)):
         print("error: constructed design failed verification", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     Path(args.out).write_bytes(designs.save(design))
@@ -159,7 +157,15 @@ def _cmd_decide(args) -> int:
     budget = args.budget
     env = os.environ.get("DESIGNS_SEARCH_BUDGET")
     if env is not None:
-        budget = int(env)
+        try:
+            budget = int(env)
+        except ValueError:
+            print(f"error: DESIGNS_SEARCH_BUDGET must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_MALFORMED
+    if budget < 0:
+        print(f"error: search budget must be nonnegative, got {budget}", file=sys.stderr)
+        return EXIT_MALFORMED
     rows = feasibility.enumerate_rows(args.n, args.n)
     if args.row_index is not None:
         if not 1 <= args.row_index <= len(rows):

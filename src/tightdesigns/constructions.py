@@ -261,7 +261,8 @@ def projective_plane(q: int) -> SymmetricDesign:
         lead = next((c for c in vec if c != field.zero), None)
         if lead == field.one:  # normalized representative of a 1-d subspace
             points.append(vec)
-    assert len(points) == q * q + q + 1
+    if len(points) != q * q + q + 1:
+        raise RuntimeError(f"PG(2,{q}) has {len(points)} points, not {q * q + q + 1}")
 
     def dot(a, b):
         acc = field.zero

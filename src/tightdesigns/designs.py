@@ -121,9 +121,11 @@ def relation_profile(design: WeightedDesign) -> RelationProfile:
                 between.add(d)
     for r, dists in within.items():
         for a in dists:
-            assert a % 2 == 0 and 2 <= a <= 2 * min(r, n - r), (r, a)
+            if a % 2 or not 2 <= a <= 2 * min(r, n - r):
+                raise RuntimeError(f"impossible distance {a} inside shell {r}")
     for g in between:
-        assert g % 2 == (r1 + r2) % 2, g
+        if g % 2 != (r1 + r2) % 2:
+            raise RuntimeError(f"impossible distance {g} between shells {r1} and {r2}")
     return RelationProfile(r1, r2, frozenset(within[r1]), frozenset(within[r2]), frozenset(between))
 
 

@@ -256,7 +256,8 @@ def csp_search(row: ParameterRow, shell: int, solutions, budget: int = DEFAULT_B
         return Verdict("refuted", CAUSE_CSP_EXHAUSTED,
                        f"{where}: exhausted after {nodes} nodes, no configuration")
     if status == "found":
-        assert check_shell_config(row, shell, solutions, blocks)
+        if not check_shell_config(row, shell, solutions, blocks):
+            raise RuntimeError(f"{where}: search witness fails re-validation")
         return Verdict("found", detail=f"{where}: witness after {nodes} nodes",
                        witness={"kind": "shell_config", "shell": shell, "blocks": blocks})
     return Verdict("undecided", detail=f"{where}: node budget {budget} exhausted")
@@ -461,23 +462,24 @@ def construction_registry() -> dict:
 _VERIFIED_KEYS: set = set()
 
 
+_FULL_CHECK_FAILURES = {
+    "moments": "fails the moment criterion",
+    "tightness": "is not tight",
+    "frame": "fails the frame identities",
+    "weight constancy": "has non-constant shell weights",
+    "coherent relations": "has non-singleton relation sets",
+}
+
+
 def verify_constructed(row: ParameterRow, design: WeightedDesign) -> None:
     """Full verification of a constructed design against its parameter row."""
-    if not verify.moments_check(design, 2).ok:
-        raise RuntimeError(f"registry design for {row} fails the moment criterion")
+    for name, ok in verify.full_check(design):
+        if not ok:
+            raise RuntimeError(f"registry design for {row} {_FULL_CHECK_FAILURES[name]}")
     balanced = verify.balanced_check(design, 2)
     if not balanced.ok or balanced.lambdas[1:] != (row.lambda1, row.lambda2):
         raise RuntimeError(f"registry design for {row} has wrong covering constants")
-    tight = verify.tightness_check(design)
-    if not tight.tight:
-        raise RuntimeError(f"registry design for {row} is not tight")
-    if not verify.frame_check(design):
-        raise RuntimeError(f"registry design for {row} fails the frame identities")
-    if not verify.weight_constancy_check(design):
-        raise RuntimeError(f"registry design for {row} has non-constant shell weights")
     relations = relation_profile(design)
-    if not relations.is_coherent:
-        raise RuntimeError(f"registry design for {row} has non-singleton relation sets")
     if (relations.within_first != {row.alpha1} or relations.within_second != {row.alpha2}
             or relations.between != {row.gamma}):
         raise RuntimeError(f"registry design for {row} has wrong relation distances")

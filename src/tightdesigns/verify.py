@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .designs import ShellProfile, WeightedDesign, WrongShellCount, shells_of
+from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
 from .hamming import (
     BinaryWord,
     KrawtchoukTable,
@@ -56,7 +56,7 @@ class TightnessReport:
     tight: bool
 
 
-def _shell_weights(profile: ShellProfile, design: WeightedDesign) -> dict[int, Fraction]:
+def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     totals: dict[int, Fraction] = {}
     for p, w in zip(design.points, design.weights):
         totals[p.weight] = totals.get(p.weight, Fraction(0)) + w
@@ -83,7 +83,11 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     if t > n:
         raise ValueError(f"t={t} exceeds n={n}")
     table = KrawtchoukTable(n)
-    totals = _shell_weights(shells_of(design), design)
+    totals = _shell_weights(design)
+    # Q_j values are integers: sum them per weight value, then weight each sum once
+    groups: dict[Fraction, list[int]] = {}
+    for y, w in zip(design.points, design.weights):
+        groups.setdefault(w, []).append(y.bits)
     for j in range(t + 1):
         rhs = Fraction(0)
         for r, W in totals.items():
@@ -91,9 +95,10 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
                 shell_intersection(n, j, r, nu) * table(j, nu) for nu in range(n + 1)
             )
             rhs += W * Fraction(acc, binomial(n, r))
+        q = [table(j, nu) for nu in range(n + 1)]
         for u in _words_of_weight(n, j):
             lhs = sum(
-                w * table(j, u.distance(y)) for y, w in zip(design.points, design.weights)
+                w * sum(q[(u.bits ^ y).bit_count()] for y in ys) for w, ys in groups.items()
             )
             if lhs != rhs:
                 return MomentsReport(t, False, (j, u, lhs, rhs))
@@ -121,48 +126,6 @@ def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
     return BalancedReport(t, True, tuple(lambdas), None)
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
 def _two_shell_gram(design: WeightedDesign):
     profile = shells_of(design)
     if profile.p != 2:
@@ -170,18 +133,31 @@ def _two_shell_gram(design: WeightedDesign):
     r1, r2 = profile.radii
     if r1 == 0 or r2 == design.n:
         raise DegenerateShells(f"shells ({r1}, {r2}) touch 0 or n")
-    totals = _shell_weights(profile, design)
+    totals = _shell_weights(design)
     return gram_closed_form(design.n, r1, r2, totals[r1], totals[r2])
+
+
+def _span_block(n: int, d0: Fraction, c0: Fraction, c2: Fraction, weight_sum: Fraction):
+    """The Gram matrix restricted to span{(1,...,1, 0), (0,...,0, 1)}.
+
+    The Gram matrix c0*I + c2*(J-I), bordered by d0 and W1+W2, maps that span
+    into itself by this 2x2 matrix (columns are the images of the two basis
+    vectors) and acts as (c0 - c2)*I on its orthogonal complement, the
+    (n-1)-dimensional space of vectors (v, 0) with sum(v) = 0.
+    """
+    return ((c0 + (n - 1) * c2, d0), (n * d0, weight_sum))
 
 
 def tightness_check(design: WeightedDesign) -> TightnessReport:
     """Compare |Y| with dim of the restricted degree-<=1 function space.
 
-    The dimension is the rank of the (n+1) x (n+1) Gram matrix assembled
-    from the closed-form inner products; for two shells with
-    1 <= r1 < r2 <= n-1 it equals n+1.  Rank is computed by exact rational
-    elimination, never by evaluating functions on whole shells.  Single-shell
-    sets are supported so that full shells can be reported as non-tight.
+    The dimension is the rank of the (n+1) x (n+1) Gram matrix of the
+    closed-form inner products.  That matrix splits into (c0 - c2)*I on an
+    (n-1)-dimensional subspace and a 2x2 block K on its complement (see
+    _span_block), so its rank is (n-1)*[c0 != c2] + rank(K), computed
+    exactly, never by evaluating functions on whole shells.  For two shells
+    with 1 <= r1 < r2 <= n-1 it equals n+1.  Single-shell sets are supported
+    so that full shells can be reported as non-tight.
     """
     n = design.n
     profile = shells_of(design)
@@ -189,19 +165,16 @@ def tightness_check(design: WeightedDesign) -> TightnessReport:
         raise WrongShellCount(f"need at most 2 shells, found {profile.p}")
     if any(r in (0, n) for r in profile.radii):
         raise DegenerateShells(f"shells {profile.radii} touch 0 or n")
-    totals = _shell_weights(profile, design)
+    totals = _shell_weights(design)
     d0 = c0 = c2 = Fraction(0)
     for r, W in totals.items():
         t_d0, t_c0, t_c2 = gram_shell_terms(n, r)
         d0 += W * t_d0
         c0 += W * t_c0
         c2 += W * t_c2
-    matrix = [[c2] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        matrix[i][i] = c0
-        matrix[i][n] = matrix[n][i] = d0
-    matrix[n][n] = sum(totals.values())
-    bound = _rank(matrix)
+    (a, b), (c, d) = _span_block(n, d0, c0, c2, sum(totals.values()))
+    # K is never zero (its corner W1+W2 is positive), so its rank is 1 or 2
+    bound = (n - 1) * (c0 != c2) + (2 if a * d != b * c else 1)
     return TightnessReport(design.size, bound, design.size == bound)
 
 
@@ -211,37 +184,86 @@ def frame_check(design: WeightedDesign) -> bool:
     With E the (n+1) x |Y| evaluation matrix of (phi_1..phi_n, phi_0) on the
     design points, W the diagonal weight matrix, and G the closed-form Gram
     matrix, a tight relative 2-design satisfies E W E^T = G and
-    E^T G^{-1} E = W^{-1} exactly.
+    E^T G^{-1} E = W^{-1} exactly.  Both are checked entry by entry through
+    closed forms in the weights |y| and the overlaps |x ∧ y| of the points,
+    with G^{-1} taken from the splitting described in _span_block.
     """
     n = design.n
     gram = _two_shell_gram(design)
     if design.size != n + 1:
         raise NotTight(f"|Y| = {design.size} != n+1 = {n + 1}")
-    g = gram.matrix()
-    # evaluation matrix: phi_s(y) = Q_1(distance(e_s, y)) = n - 2*distance, phi_0 = 1
-    evaluation = []
-    for s in range(1, n + 1):
-        row = []
-        for y in design.points:
-            dist = (y.bits ^ (1 << (s - 1))).bit_count()
-            row.append(Fraction(n - 2 * dist))
-        evaluation.append(row)
-    evaluation.append([Fraction(1)] * design.size)
+    return _frame_gram_identity(design, gram) and _frame_dual_identity(design, gram)
 
-    size = n + 1
-    weights = design.weights
-    for a in range(size):
-        for b in range(a, size):
-            acc = sum(weights[y] * evaluation[a][y] * evaluation[b][y] for y in range(size))
-            if acc != g[a][b]:
+
+def _frame_gram_identity(design: WeightedDesign, gram) -> bool:
+    """E W E^T = G, using phi_s(y) = p_y + 4*y_s with p_y = n - 2|y| - 2.
+
+    Every entry is then a sum over classes of points with equal (|y|, w_y)
+    of integer counts: the class size, the points with y_s = 1, and those
+    with y_s = y_t = 1, each a popcount of per-coordinate bit-mask columns.
+    """
+    n = design.n
+    classes: dict[tuple[int, Fraction], int] = {}
+    columns = [0] * n
+    for i, (y, w) in enumerate(zip(design.points, design.weights)):
+        classes[y.weight, w] = classes.get((y.weight, w), 0) | 1 << i
+        for s in range(n):
+            if y.bits >> s & 1:
+                columns[s] |= 1 << i
+    terms = []  # (w, p, class mask, class size, per-coordinate counts)
+    for (weight, w), mask in classes.items():
+        along = [(mask & col).bit_count() for col in columns]
+        terms.append((w, n - 2 * weight - 2, mask, mask.bit_count(), along))
+    if sum(w * size for w, _, _, size, _ in terms) != gram.weight_sum:
+        return False
+    for s in range(n):
+        if sum(w * (p * size + 4 * along[s]) for w, p, _, size, along in terms) != gram.d0:
+            return False
+        for t in range(s, n):
+            both = columns[s] & columns[t]
+            value = sum(
+                w * (p * p * size + 4 * p * (along[s] + along[t])
+                     + 16 * (mask & both).bit_count())
+                for w, p, mask, size, along in terms
+            )
+            if value != (gram.c0 if s == t else gram.c2):
                 return False
-    g_inv = _invert(g)
-    for x in range(size):
-        gx = [sum(g_inv[s][u] * evaluation[u][x] for u in range(size)) for s in range(size)]
-        for y in range(size):
-            acc = sum(evaluation[s][y] * gx[s] for s in range(size))
-            expected = 1 / weights[x] if x == y else Fraction(0)
-            if acc != expected:
+    return True
+
+
+def _frame_dual_identity(design: WeightedDesign, gram) -> bool:
+    """E^T G^{-1} E = W^{-1}, from the splitting of G in _span_block.
+
+    The column of E at y is (p_y + 4y, 1).  Its part orthogonal to the span
+    is (4(y - |y|/n), 0), on which G^{-1} is 1/(c0 - c2); its part in the
+    span has coordinates (m_y, 1) with m_y = p_y + 4|y|/n, on which G^{-1}
+    is K^{-1}.  With (s_x, t_x) = K^{-1}(m_x, 1), entry (x, y) is
+
+      16(n|x ∧ y| - |x||y|) / (n(c0 - c2)) + n*m_y*s_x + t_x.
+    """
+    n, d0, c0, c2 = design.n, gram.d0, gram.c0, gram.c2
+    (a, b), (c, d) = _span_block(n, d0, c0, c2, gram.weight_sum)
+    det = a * d - b * c
+    span_terms = {}  # |y| -> (m_y, s_y, t_y)
+    for y in design.points:
+        m = Fraction(n * (n - 2 * y.weight - 2) + 4 * y.weight, n)
+        span_terms[y.weight] = (m, (d * m - b) / det, (a - c * m) / det)
+    values: dict[tuple[int, int, int], Fraction] = {}
+
+    def entry(size_x: int, size_y: int, overlap: int) -> Fraction:
+        key = (size_x, size_y, overlap)
+        if key not in values:
+            _, s_x, t_x = span_terms[size_x]
+            values[key] = (Fraction(16 * (n * overlap - size_x * size_y), n) / (c0 - c2)
+                           + n * span_terms[size_y][0] * s_x + t_x)
+        return values[key]
+
+    points, weights = design.points, design.weights
+    for i, x in enumerate(points):
+        if entry(x.weight, x.weight, x.weight) != 1 / weights[i]:
+            return False
+        for y in points[i + 1:]:
+            if entry(x.weight, y.weight, (x.bits & y.bits).bit_count()) != 0:
                 return False
     return True
 
@@ -249,3 +271,21 @@ def frame_check(design: WeightedDesign) -> bool:
 def weight_constancy_check(design: WeightedDesign) -> bool:
     """True iff the weight function is constant on every shell."""
     return all(constant is not None for _, _, constant in shells_of(design).shells)
+
+
+def full_check(design: WeightedDesign) -> list[tuple[str, bool]]:
+    """Every check a constructed tight two-shell design must pass, in order.
+
+    Returns (check name, ok) pairs for the moment criterion at t = 2,
+    tightness, the frame identities (failed without running them when the
+    design is not tight, since they are stated for tight designs only),
+    weight constancy and a coherent relation profile.
+    """
+    tight = tightness_check(design).tight
+    return [
+        ("moments", moments_check(design, 2).ok),
+        ("tightness", tight),
+        ("frame", tight and frame_check(design)),
+        ("weight constancy", weight_constancy_check(design)),
+        ("coherent relations", relation_profile(design).is_coherent),
+    ]

@@ -13,12 +13,7 @@ from pathlib import Path
 
 from reference_table import EMPTY_N, REFERENCE_ROWS
 from tightdesigns import constructions, verify
-from tightdesigns.designs import (
-    WeightedDesign,
-    make_design,
-    relation_profile,
-    shells_of,
-)
+from tightdesigns.designs import WeightedDesign, make_design, shells_of
 from tightdesigns.feasibility import enumerate_rows, to_csv
 from tightdesigns.hamming import (
     BinaryWord,
@@ -61,14 +56,7 @@ def test_criterion_1_table_reproduction():
 
 
 def _full_verification(design, failures, label):
-    checks = (
-        ("moments", verify.moments_check(design, 2).ok),
-        ("tightness", verify.tightness_check(design).tight),
-        ("frame", verify.frame_check(design)),
-        ("weight constancy", verify.weight_constancy_check(design)),
-        ("coherent relations", relation_profile(design).is_coherent),
-    )
-    for name, ok in checks:
+    for name, ok in verify.full_check(design):
         if not ok:
             failures.append(f"{label}: {name} check failed")
 

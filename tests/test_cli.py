@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tightdesigns import cli
 from tightdesigns.designs import load
@@ -136,3 +142,40 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("value", ["many", "1.5", "-1"])
+def test_decide_rejects_bad_env_budget(capsys, monkeypatch, value):
+    monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", value)
+    code, out, err = run_cli(capsys, "decide", "--n", "6")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_decide_rejects_negative_budget_flag(capsys):
+    code, out, err = run_cli(capsys, "decide", "--n", "6", "--budget", "-5")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def run_module(*argv, optimize):
+    """Run the command in a fresh interpreter, with or without -O."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("DESIGNS_SEARCH_BUDGET", None)
+    flags = ["-O"] if optimize else []
+    result = subprocess.run([sys.executable, *flags, "-m", "tightdesigns.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=300)
+    return result.returncode, result.stdout
+
+
+def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):
+    # -O strips assert statements, so no check may live in one
+    target = tmp_path / "d.json"
+    code, _, _ = run_cli(capsys, "construct", "symmetric", "--plane", "3",
+                         "--out", str(target))
+    assert code == 0
+    for argv in (("decide", "--n", "14", "--format", "json"),
+                 ("verify", "--design", str(target))):
+        plain = run_module(*argv, optimize=False)
+        assert plain[1]
+        assert run_module(*argv, optimize=True) == plain

@@ -9,13 +9,22 @@ from tightdesigns.designs import (
     WeightedDesign,
     WrongShellCount,
     make_design,
+    shells_of,
 )
-from tightdesigns.hamming import BinaryWord
+from tightdesigns.hamming import (
+    BinaryWord,
+    KrawtchoukTable,
+    binomial,
+    gram_shell_terms,
+    shell_intersection,
+)
+from tightdesigns.nonexistence import construction_registry
 from tightdesigns.verify import (
     DegenerateShells,
     NotTight,
     balanced_check,
     frame_check,
+    full_check,
     moments_check,
     tightness_check,
     weight_constancy_check,
@@ -154,3 +163,151 @@ def test_criterion_equivalence_small_corpus():
     for design in corpus:
         for t in (1, 2):
             assert moments_check(design, t).ok == balanced_check(design, t).ok
+
+
+def test_full_check_names_every_check():
+    base = six_design()
+    assert full_check(base) == [("moments", True), ("tightness", True), ("frame", True),
+                                ("weight constancy", True), ("coherent relations", True)]
+    untight = WeightedDesign(6, base.points[:-1], base.weights[:-1])
+    assert dict(full_check(untight))["frame"] is False
+
+
+# Generic exact oracles: Gaussian elimination over Fraction and direct sums,
+# independent of the closed forms used by the checks.
+
+
+def oracle_rank(matrix):
+    m = [row[:] for row in matrix]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_inverse(matrix):
+    size = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)]
+           for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def oracle_gram(design):
+    """The (n+1) x (n+1) Gram matrix on one or two shells, assembled entry by entry."""
+    n = design.n
+    d0 = c0 = c2 = Fraction(0)
+    for r, _count, _ in shells_of(design).shells:
+        W = sum(w for p, w in zip(design.points, design.weights) if p.weight == r)
+        t_d0, t_c0, t_c2 = gram_shell_terms(n, r)
+        d0, c0, c2 = d0 + W * t_d0, c0 + W * t_c0, c2 + W * t_c2
+    g = [[c2] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        g[i][i] = c0
+        g[i][n] = g[n][i] = d0
+    g[n][n] = sum(design.weights)
+    return g
+
+
+def oracle_frame(design):
+    n = design.n
+    g = oracle_gram(design)
+    evaluation = [[n - 2 * (y.bits ^ 1 << s).bit_count() for y in design.points]
+                  for s in range(n)]
+    evaluation.append([1] * design.size)
+    size, weights = n + 1, design.weights
+    for a in range(size):
+        for b in range(a, size):
+            if sum(weights[y] * evaluation[a][y] * evaluation[b][y]
+                   for y in range(size)) != g[a][b]:
+                return False
+    g_inv = oracle_inverse(g)
+    for x in range(size):
+        gx = [sum(g_inv[s][u] * evaluation[u][x] for u in range(size)) for s in range(size)]
+        for y in range(size):
+            expected = 1 / weights[x] if x == y else 0
+            if sum(evaluation[s][y] * gx[s] for s in range(size)) != expected:
+                return False
+    return True
+
+
+def oracle_first_violation(design, t):
+    n = design.n
+    table = KrawtchoukTable(n)
+    totals = {}
+    for p, w in zip(design.points, design.weights):
+        totals[p.weight] = totals.get(p.weight, 0) + w
+    for j in range(t + 1):
+        rhs = sum(W * Fraction(sum(shell_intersection(n, j, r, nu) * table(j, nu)
+                                   for nu in range(n + 1)), binomial(n, r))
+                  for r, W in totals.items())
+        for support in combinations(range(1, n + 1), j):
+            u = BinaryWord.from_support(n, support)
+            lhs = sum(w * table(j, u.distance(y)) for y, w in zip(design.points, design.weights))
+            if lhs != rhs:
+                return (j, u, lhs, rhs)
+    return None
+
+
+def perturbations(design):
+    """First weight doubled, last weight tripled, last point swapped within its shell."""
+    points = list(design.points)
+    last = points[-1].bits
+    ones = [1 << i for i in range(design.n) if last >> i & 1]
+    zeros = [1 << i for i in range(design.n) if not last >> i & 1]
+    replacement = next(
+        word for word in (BinaryWord(design.n, last ^ a ^ b) for a in ones for b in zeros)
+        if word not in points
+    )
+    return [
+        WeightedDesign(design.n, design.points, (design.weights[0] * 2,) + design.weights[1:]),
+        WeightedDesign(design.n, design.points, design.weights[:-1] + (design.weights[-1] * 3,)),
+        WeightedDesign(design.n, tuple(points[:-1]) + (replacement,), design.weights),
+    ]
+
+
+def registry_corpus():
+    for _key, (_label, design) in sorted(construction_registry().items()):
+        yield design, True
+        for perturbed in perturbations(design):
+            yield perturbed, False
+
+
+def test_frame_check_matches_generic_oracle():
+    for design, is_design in registry_corpus():
+        assert frame_check(design) == oracle_frame(design) == is_design
+
+
+def test_moments_first_violation_matches_direct_sums():
+    for design, is_design in registry_corpus():
+        report = moments_check(design, 2)
+        assert report.ok == is_design
+        assert report.first_violation == oracle_first_violation(design, 2)
+
+
+def test_tightness_bound_matches_generic_rank():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(2, 11)
+        radii = rng.sample(range(1, n), min(rng.choice((1, 2)), n - 1))
+        pool = [s for r in radii for s in combinations(range(1, n + 1), r)]
+        supports = rng.sample(pool, rng.randint(1, min(len(pool), 2 * n)))
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in supports]
+        design = make_design(n, supports, weights)
+        assert tightness_check(design).bound == oracle_rank(oracle_gram(design))
