@@ -46,6 +46,7 @@ from .nonexistence import (
 )
 from .verify import (
     BalancedReport,
+    CheckResult,
     MomentsReport,
     TightnessReport,
     balanced_check,

@@ -59,7 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = feasibility.enumerate_rows(args.n_min, args.n_max)
+    try:
+        rows = feasibility.enumerate_rows(args.n_min, args.n_max)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     if args.format == "csv":
         sys.stdout.write(feasibility.to_csv(rows))
     elif args.format == "json":
@@ -72,49 +76,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         design = designs.load(Path(args.design).read_bytes())
-    except (OSError, designs.MalformedFile) as exc:
+        results = verify.full_check(design, args.t)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    ok = True
-
-    moments = verify.moments_check(design, args.t)
-    print(f"moments_check (t={args.t}): {'pass' if moments.ok else 'FAIL'}")
-    if not moments.ok:
-        j, u, lhs, rhs = moments.first_violation
-        print(f"  violated at j={j}, u={u.to_string()}: {lhs} != {rhs}")
-        ok = False
-
-    balanced = verify.balanced_check(design, args.t)
-    print(f"balanced_check (t={args.t}): {'pass' if balanced.ok else 'FAIL'}")
-    if balanced.ok:
-        shown = ", ".join(f"lambda_{j}={v}" for j, v in enumerate(balanced.lambdas))
-        print(f"  {shown}")
-    else:
-        j, u, observed = balanced.first_violation
-        print(f"  violated at j={j}, u={u.to_string()}: covering sum {observed}")
-        ok = False
-
-    try:
-        tight = verify.tightness_check(design)
-        print(f"tightness_check: size {tight.size} vs bound {tight.bound}: "
-              f"{'tight' if tight.tight else 'NOT TIGHT'}")
-        ok = ok and tight.tight
-        frame = verify.frame_check(design)
-        print(f"frame_check: {'pass' if frame else 'FAIL'}")
-        ok = ok and frame
-        relations = designs.relation_profile(design)
-        print(f"relation_profile: within {sorted(relations.within_first)} / "
-              f"{sorted(relations.within_second)}, between {sorted(relations.between)}"
-              f" ({'coherent' if relations.is_coherent else 'NOT coherent'})")
-        ok = ok and relations.is_coherent
-    except (designs.WrongShellCount, verify.DegenerateShells, verify.NotTight) as exc:
-        print(f"two-shell checks skipped: {exc}")
-        ok = False
-
-    constant = verify.weight_constancy_check(design)
-    print(f"weight_constancy_check: {'pass' if constant else 'FAIL'}")
-    ok = ok and constant
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    for result in results:
+        print("\n".join(result.lines))
+    return EXIT_OK if all(result.ok for result in results) else EXIT_VERIFY_FAILED
 
 
 def _cmd_construct(args) -> int:
@@ -143,10 +111,14 @@ def _cmd_construct(args) -> int:
                 constructions.HalfSizeBlock, constructions.DegenerateDesign) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
-    if not all(ok for _, ok in verify.full_check(design)):
+    if not all(result.ok for result in verify.full_check(design)):
         print("error: constructed design failed verification", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    Path(args.out).write_bytes(designs.save(design))
+    try:
+        Path(args.out).write_bytes(designs.save(design))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     profile = designs.shells_of(design)
     shells = ", ".join(f"X_{r}: {c} points (w={w})" for r, c, w in profile.shells)
     print(f"verified design in H({design.n},2) written to {args.out}: {shells}")

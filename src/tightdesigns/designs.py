@@ -162,7 +162,10 @@ def save(design: WeightedDesign) -> bytes:
 def load(data) -> WeightedDesign:
     """Parse a design file; raises MalformedFile with a field diagnostic."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"not UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:

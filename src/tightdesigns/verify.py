@@ -56,6 +56,18 @@ class TightnessReport:
     tight: bool
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """One check of full_check and the lines `tightdesigns verify` prints for it."""
+
+    name: str
+    ok: bool
+    # MomentsReport, BalancedReport, TightnessReport, RelationProfile, a bool
+    # for the frame and weight-constancy checks, None for skipped two-shell checks
+    report: object
+    lines: tuple[str, ...]
+
+
 def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     totals: dict[int, Fraction] = {}
     for p, w in zip(design.points, design.weights):
@@ -80,8 +92,8 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     eigenspace.
     """
     n = design.n
-    if t > n:
-        raise ValueError(f"t={t} exceeds n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
     table = KrawtchoukTable(n)
     totals = _shell_weights(design)
     # Q_j values are integers: sum them per weight value, then weight each sum once
@@ -108,14 +120,18 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
 def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
     """Check that sum of w(y) over points with support containing u is constant per |u|."""
     n = design.n
-    if t > n:
-        raise ValueError(f"t={t} exceeds n={n}")
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
+    # count covering points per weight value, then weight each count once
+    groups: dict[Fraction, list[int]] = {}
+    for y, w in zip(design.points, design.weights):
+        groups.setdefault(w, []).append(y.bits)
     lambdas = []
     for j in range(t + 1):
         expected: Optional[Fraction] = None
         for u in _words_of_weight(n, j):
             covered = sum(
-                (w for y, w in zip(design.points, design.weights) if u.bits & ~y.bits == 0),
+                (w * sum(1 for y in ys if y & u.bits == u.bits) for w, ys in groups.items()),
                 Fraction(0),
             )
             if expected is None:
@@ -273,19 +289,50 @@ def weight_constancy_check(design: WeightedDesign) -> bool:
     return all(constant is not None for _, _, constant in shells_of(design).shells)
 
 
-def full_check(design: WeightedDesign) -> list[tuple[str, bool]]:
-    """Every check a constructed tight two-shell design must pass, in order.
+def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
+    """Every check of a tight two-shell relative t-design, in printing order.
 
-    Returns (check name, ok) pairs for the moment criterion at t = 2,
-    tightness, the frame identities (failed without running them when the
-    design is not tight, since they are stated for tight designs only),
-    weight constancy and a coherent relation profile.
+    The results are the moment and balance criteria at t, tightness, the
+    frame identities, the relation profile and weight constancy.  A set
+    the two-shell checks do not apply to (not two shells, a shell at radius
+    0 or n, or not of size n+1) gets, in place of the ones it cannot take,
+    a single failed "two-shell checks" result that says why.  Raises
+    ValueError when t is outside 0..n.
     """
-    tight = tightness_check(design).tight
-    return [
-        ("moments", moments_check(design, 2).ok),
-        ("tightness", tight),
-        ("frame", tight and frame_check(design)),
-        ("weight constancy", weight_constancy_check(design)),
-        ("coherent relations", relation_profile(design).is_coherent),
-    ]
+    results: list[CheckResult] = []
+
+    def add(name, ok, report, *lines):
+        results.append(CheckResult(name, ok, report, lines))
+
+    moments = moments_check(design, t)
+    if moments.ok:
+        add("moments", True, moments, f"moments_check (t={t}): pass")
+    else:
+        j, u, lhs, rhs = moments.first_violation
+        add("moments", False, moments, f"moments_check (t={t}): FAIL",
+            f"  violated at j={j}, u={u.to_string()}: {lhs} != {rhs}")
+    balanced = balanced_check(design, t)
+    if balanced.ok:
+        shown = ", ".join(f"lambda_{j}={v}" for j, v in enumerate(balanced.lambdas))
+        add("balanced", True, balanced, f"balanced_check (t={t}): pass", f"  {shown}")
+    else:
+        j, u, observed = balanced.first_violation
+        add("balanced", False, balanced, f"balanced_check (t={t}): FAIL",
+            f"  violated at j={j}, u={u.to_string()}: covering sum {observed}")
+    try:
+        tight = tightness_check(design)
+        add("tightness", tight.tight, tight, f"tightness_check: size {tight.size} vs bound "
+            f"{tight.bound}: {'tight' if tight.tight else 'NOT TIGHT'}")
+        frame = frame_check(design)
+        add("frame", frame, frame, f"frame_check: {'pass' if frame else 'FAIL'}")
+        relations = relation_profile(design)
+        add("relations", relations.is_coherent, relations,
+            f"relation_profile: within {sorted(relations.within_first)} / "
+            f"{sorted(relations.within_second)}, between {sorted(relations.between)}"
+            f" ({'coherent' if relations.is_coherent else 'NOT coherent'})")
+    except (WrongShellCount, DegenerateShells, NotTight) as exc:
+        add("two-shell checks", False, None, f"two-shell checks skipped: {exc}")
+    constant = weight_constancy_check(design)
+    add("weight constancy", constant, constant,
+        f"weight_constancy_check: {'pass' if constant else 'FAIL'}")
+    return results

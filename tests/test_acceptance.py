@@ -56,9 +56,9 @@ def test_criterion_1_table_reproduction():
 
 
 def _full_verification(design, failures, label):
-    for name, ok in verify.full_check(design):
-        if not ok:
-            failures.append(f"{label}: {name} check failed")
+    for result in verify.full_check(design):
+        if not result.ok:
+            failures.append(f"{label}: {result.name} check failed")
 
 
 def _match_reference(design, failures, label):

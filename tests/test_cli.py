@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tightdesigns import cli
-from tightdesigns.designs import load
+from tightdesigns import cli, constructions
+from tightdesigns.designs import WeightedDesign, load, make_design, save
 from tightdesigns.feasibility import parse_csv
 
 
@@ -179,3 +179,114 @@ def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):
         plain = run_module(*argv, optimize=False)
         assert plain[1]
         assert run_module(*argv, optimize=True) == plain
+
+
+def hadamard_six():
+    return constructions.hadamard_design(constructions.sylvester_hadamard(2))
+
+
+TWO_SHELL_PASS = """\
+tightness_check: size 7 vs bound 7: tight
+frame_check: pass
+relation_profile: within [4] / [4], between [3] (coherent)
+weight_constancy_check: pass
+"""
+
+# exact stdout and exit code of `tightdesigns verify`, whose lines come from
+# verify.full_check: scripts read this text, so it must not drift
+VERIFY_TRANSCRIPTS = [
+    ("hadamard", ("--t", "2"), 0, """\
+moments_check (t=2): pass
+balanced_check (t=2): pass
+  lambda_0=7, lambda_1=3, lambda_2=1
+""" + TWO_SHELL_PASS),
+    ("hadamard", ("--t", "1"), 0, """\
+moments_check (t=1): pass
+balanced_check (t=1): pass
+  lambda_0=7, lambda_1=3
+""" + TWO_SHELL_PASS),
+    ("hadamard", ("--t", "0"), 0, """\
+moments_check (t=0): pass
+balanced_check (t=0): pass
+  lambda_0=7
+""" + TWO_SHELL_PASS),
+    ("first weight doubled", (), 1, """\
+moments_check (t=2): FAIL
+  violated at j=1, u=100000: 8 != 16/3
+balanced_check (t=2): FAIL
+  violated at j=1, u=001000: covering sum 3
+tightness_check: size 7 vs bound 7: tight
+frame_check: FAIL
+relation_profile: within [4] / [4], between [3] (coherent)
+weight_constancy_check: FAIL
+"""),
+    ("last point dropped", (), 1, """\
+moments_check (t=2): FAIL
+  violated at j=1, u=100000: 6 != 4
+balanced_check (t=2): FAIL
+  violated at j=1, u=010000: covering sum 2
+tightness_check: size 6 vs bound 7: NOT TIGHT
+two-shell checks skipped: |Y| = 6 != n+1 = 7
+weight_constancy_check: pass
+"""),
+    ("three shells", (), 1, """\
+moments_check (t=2): FAIL
+  violated at j=1, u=100000: 12 != 4
+balanced_check (t=2): FAIL
+  violated at j=1, u=010000: covering sum 2
+two-shell checks skipped: need at most 2 shells, found 3
+weight_constancy_check: pass
+"""),
+    ("point on shell 0", (), 1, """\
+moments_check (t=2): FAIL
+  violated at j=1, u=100000: 8 != 20/3
+balanced_check (t=2): FAIL
+  violated at j=1, u=000010: covering sum 0
+two-shell checks skipped: shells (0, 2) touch 0 or n
+weight_constancy_check: pass
+"""),
+]
+
+
+def transcript_design(name):
+    base = hadamard_six()
+    return {
+        "hadamard": base,
+        "first weight doubled": WeightedDesign(
+            6, base.points, (base.weights[0] * 2,) + base.weights[1:]),
+        "last point dropped": WeightedDesign(6, base.points[:-1], base.weights[:-1]),
+        "three shells": make_design(6, [(1,), (1, 2), (1, 2, 3)], [1, 1, 1]),
+        "point on shell 0": make_design(6, [(), (1, 2), (3, 4)], [1, 1, 1]),
+    }[name]
+
+
+@pytest.mark.parametrize("name, flags, expected_code, expected_out", VERIFY_TRANSCRIPTS)
+def test_verify_transcript(capsys, tmp_path, name, flags, expected_code, expected_out):
+    target = tmp_path / "d.json"
+    target.write_bytes(save(transcript_design(name)))
+    code, out, err = run_cli(capsys, "verify", "--design", str(target), *flags)
+    assert (code, out, err) == (expected_code, expected_out, "")
+
+
+def bad_input(tmp_path, case):
+    """The argument list of one bad invocation; writes the files it names."""
+    design = tmp_path / "d.json"
+    design.write_bytes(save(hadamard_six()))
+    if case == "t above n":
+        return ["verify", "--design", str(design), "--t", "10"]
+    if case == "negative t":
+        return ["verify", "--design", str(design), "--t", "-1"]
+    if case == "not utf-8":
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"n": 2, "points": ["10"], "weights": ["1"], "note": "\xe9"}')
+        return ["verify", "--design", str(latin)]
+    if case == "empty n range":
+        return ["enumerate", "--n-min", "10", "--n-max", "5"]
+    return ["construct", "hadamard", "--m", "3", "--out", str(tmp_path / "no" / "dir" / "x.json")]
+
+
+@pytest.mark.parametrize("case", ["t above n", "negative t", "not utf-8", "empty n range",
+                                  "missing output directory"])
+def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
+    code, out, err = run_cli(capsys, *bad_input(tmp_path, case))
+    assert code == 2 and out == "" and err.startswith("error: ")

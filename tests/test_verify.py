@@ -20,6 +20,7 @@ from tightdesigns.hamming import (
 )
 from tightdesigns.nonexistence import construction_registry
 from tightdesigns.verify import (
+    BalancedReport,
     DegenerateShells,
     NotTight,
     balanced_check,
@@ -167,10 +168,22 @@ def test_criterion_equivalence_small_corpus():
 
 def test_full_check_names_every_check():
     base = six_design()
-    assert full_check(base) == [("moments", True), ("tightness", True), ("frame", True),
-                                ("weight constancy", True), ("coherent relations", True)]
+    results = full_check(base)
+    assert [(r.name, r.ok) for r in results] == [
+        ("moments", True), ("balanced", True), ("tightness", True), ("frame", True),
+        ("relations", True), ("weight constancy", True)]
+    assert results[0].report == moments_check(base, 2)
+    assert results[1].report == balanced_check(base, 2)
+    assert results[2].report == tightness_check(base)
+    assert results[4].report.between == {3}
+    assert [r.name for r in full_check(base, 1)][:2] == ["moments", "balanced"]
+    assert full_check(base, 1)[1].report.lambdas == (7, 3)
     untight = WeightedDesign(6, base.points[:-1], base.weights[:-1])
-    assert dict(full_check(untight))["frame"] is False
+    assert [(r.name, r.ok) for r in full_check(untight)][2:] == [
+        ("tightness", False), ("two-shell checks", False), ("weight constancy", True)]
+    for t in (-1, 7):
+        with pytest.raises(ValueError):
+            full_check(base, t)
 
 
 # Generic exact oracles: Gaussian elimination over Fraction and direct sums,
@@ -299,6 +312,28 @@ def test_moments_first_violation_matches_direct_sums():
         report = moments_check(design, 2)
         assert report.ok == is_design
         assert report.first_violation == oracle_first_violation(design, 2)
+
+
+def oracle_balanced(design, t):
+    """balanced_check by point-by-point covering sums, as a BalancedReport."""
+    lambdas = []
+    for j in range(t + 1):
+        for support in combinations(range(1, design.n + 1), j):
+            u = BinaryWord.from_support(design.n, support)
+            covered = sum(w for y, w in zip(design.points, design.weights)
+                          if u.bits & ~y.bits == 0)
+            if len(lambdas) == j:
+                lambdas.append(covered)
+            elif covered != lambdas[j]:
+                return BalancedReport(t, False, None, (j, u, covered))
+    return BalancedReport(t, True, tuple(lambdas), None)
+
+
+def test_balanced_check_matches_direct_sums():
+    for design, is_design in registry_corpus():
+        report = balanced_check(design, 2)
+        assert report.ok == is_design
+        assert report == oracle_balanced(design, 2)
 
 
 def test_tightness_bound_matches_generic_rank():
