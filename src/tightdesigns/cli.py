@@ -92,7 +92,7 @@ def _cmd_construct(args) -> int:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
             matrix = constructions.hadamard_of_order(args.m + 1)
             design = constructions.hadamard_design(matrix)
-        except (ValueError, constructions.BadOrder, constructions.BadModulus) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
     else:
@@ -107,8 +107,7 @@ def _cmd_construct(args) -> int:
                 design = constructions.from_symmetric_residual(symmetric, args.base_point)
             else:
                 design = constructions.from_symmetric_complemented(symmetric, args.base_point)
-        except (ValueError, constructions.UnsupportedOrder, constructions.BadModulus,
-                constructions.HalfSizeBlock, constructions.DegenerateDesign) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
     if not all(result.ok for result in verify.full_check(design)):

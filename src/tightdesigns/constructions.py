@@ -332,23 +332,16 @@ def from_symmetric_residual(design: SymmetricDesign, base_point: int = 0) -> Wei
 def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) -> WeightedDesign:
     """Split variant with shells (k, n-k+1), defined when 2k != n+1.
 
-    Blocks through the base point contribute the complement of their support
-    within the remaining points (shell n-k+1); blocks avoiding it contribute
-    their support (shell k).  All weights are 1.
+    The residual split with its first k points (shell k-1, the blocks
+    through the base point) replaced by their complements within the
+    remaining points (shell n-k+1).  All weights are 1.
     """
-    n = design.v - 1
-    if 2 * design.k == n + 1:
+    if 2 * design.k == design.v:
         raise HalfSizeBlock("2k = n+1 would collapse both shells")
-    coord = _coordinate_map(design, base_point)
-    points = []
-    for block in design.blocks:
-        if base_point in block:
-            outside = (coord[x] for x in range(design.v) if x != base_point and x not in block)
-            points.append(BinaryWord.from_support(n, outside))
-    for block in design.blocks:
-        if base_point not in block:
-            points.append(BinaryWord.from_support(n, (coord[x] for x in block)))
-    return WeightedDesign(n, tuple(points), (Fraction(1),) * len(points))
+    residual = from_symmetric_residual(design, base_point)
+    k = design.k
+    points = tuple(p.complement() for p in residual.points[:k]) + residual.points[k:]
+    return WeightedDesign(residual.n, points, residual.weights)
 
 
 def save_symmetric(design: SymmetricDesign) -> bytes:
@@ -391,30 +384,32 @@ def hadamard_of_order(order: int) -> HadamardMatrix:
     return paley_hadamard(order - 1)
 
 
+def _base_designs():
+    """The 24 base constructions of the catalog, with provenance labels:
+    the Hadamard pairings for m in HADAMARD_SIDES, then the residual split of
+    every cataloged symmetric design and its complemented split where 2k != v.
+    """
+    for m in HADAMARD_SIDES:
+        yield f"hadamard[m={m}]", hadamard_design(hadamard_of_order(m + 1))
+    symmetric = [(f"plane[{q}]", projective_plane(q)) for q in PLANE_ORDERS]
+    symmetric += [(f"paley[{q}]", paley_design(q)) for q in PALEY_ORDERS]
+    for label, sym in symmetric:
+        yield f"residual({label})", from_symmetric_residual(sym)
+        if 2 * sym.k != sym.v:
+            yield f"complemented({label})", from_symmetric_complemented(sym)
+
+
 def known_designs() -> list[tuple[str, WeightedDesign]]:
     """Every design the generated catalog can build, with provenance labels.
 
-    Covers the Hadamard pairings for m in HADAMARD_SIDES, both splits of
-    every cataloged symmetric design and of its complement, and the
-    H(n,2)-complement of each of those.
+    Each of the 24 base designs is followed by its H(n,2)-complement, the
+    catalog's one use of complementation.  Splitting the complement of a
+    symmetric design would add no point set: its residual split is the
+    H(n,2)-complement of the residual split, and its complemented split is
+    the complemented split.
     """
     out: list[tuple[str, WeightedDesign]] = []
-    for m in HADAMARD_SIDES:
-        built = hadamard_design(hadamard_of_order(m + 1))
-        out.append((f"hadamard[m={m}]", built))
-        out.append((f"complement(hadamard[m={m}])", design_complement(built)))
-    symmetric: list[tuple[str, SymmetricDesign]] = []
-    for q in PLANE_ORDERS:
-        symmetric.append((f"plane[{q}]", projective_plane(q)))
-    for q in PALEY_ORDERS:
-        symmetric.append((f"paley[{q}]", paley_design(q)))
-    for label, sym in list(symmetric):
-        symmetric.append((f"complement({label})", complement_design(sym)))
-    for label, sym in symmetric:
-        splits = [(f"residual({label})", from_symmetric_residual(sym))]
-        if 2 * sym.k != sym.v:
-            splits.append((f"complemented({label})", from_symmetric_complemented(sym)))
-        for split_label, built in splits:
-            out.append((split_label, built))
-            out.append((f"complement({split_label})", design_complement(built)))
+    for label, built in _base_designs():
+        out.append((label, built))
+        out.append((f"complement({label})", design_complement(built)))
     return out

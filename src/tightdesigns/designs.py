@@ -176,7 +176,7 @@ def load(data) -> WeightedDesign:
         if key not in obj:
             raise MalformedFile(f"missing field {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MalformedFile(f"n must be a positive integer, got {n!r}")
     points_raw, weights_raw = obj["points"], obj["weights"]
     if not isinstance(points_raw, list) or not isinstance(weights_raw, list):
@@ -200,7 +200,10 @@ def load(data) -> WeightedDesign:
     for idx, text in enumerate(weights_raw):
         if not isinstance(text, str) or not _WEIGHT_RE.match(text):
             raise MalformedFile(f"weights[{idx}]: not a 'p/q' string: {text!r}")
-        w = Fraction(text)
+        try:
+            w = Fraction(text)
+        except ZeroDivisionError:
+            raise MalformedFile(f"weights[{idx}]: zero denominator in {text!r}") from None
         if w <= 0:
             raise MalformedFile(f"weights[{idx}]: weight must be positive, got {text}")
         weights.append(w)

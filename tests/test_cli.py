@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -280,13 +281,51 @@ def bad_input(tmp_path, case):
         latin = tmp_path / "latin.json"
         latin.write_bytes(b'{"n": 2, "points": ["10"], "weights": ["1"], "note": "\xe9"}')
         return ["verify", "--design", str(latin)]
+    if case in ("zero denominator", "boolean n"):
+        bad = tmp_path / "bad.json"
+        n, weight = ("true", "1") if case == "boolean n" else ("1", "1/0")
+        bad.write_text(f'{{"n": {n}, "points": ["1"], "weights": ["{weight}"]}}')
+        # t = 0 is in range for n = 1, so only the loader can reject the file
+        return ["verify", "--design", str(bad), "--t", "0"]
     if case == "empty n range":
         return ["enumerate", "--n-min", "10", "--n-max", "5"]
     return ["construct", "hadamard", "--m", "3", "--out", str(tmp_path / "no" / "dir" / "x.json")]
 
 
-@pytest.mark.parametrize("case", ["t above n", "negative t", "not utf-8", "empty n range",
-                                  "missing output directory"])
+@pytest.mark.parametrize("case", ["t above n", "negative t", "not utf-8", "zero denominator",
+                                  "boolean n", "empty n range", "missing output directory"])
 def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *bad_input(tmp_path, case))
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# sha256 over the eight files `construct symmetric` writes for one source:
+# each --variant, without and with --complement, at --base-point 0 and v-1
+CONSTRUCT_SHA256 = {
+    ("--plane", 2): "0347c3569253e163fb93da5309edfecf94a22527444fd7d262c73631a7bee41a",
+    ("--plane", 3): "15c6197d62e6f20e532372fd443d88d9ca02549adc1026bac3d1c8bc9a00ed12",
+    ("--plane", 4): "02c7fcaf2464295c50e3389dcade25ffbbe40da2782975abdb31f0394aa3ce19",
+    ("--plane", 5): "2c60af68a1e0cd7227fef03dab8cd6573486815bcb71bb609bf2539c5f0fddbe",
+    ("--paley", 7): "db3d4fff5ff864f490f76929f4791dafb5040895d1829071ea650614170d031f",
+    ("--paley", 11): "dcc378433701a60a62d0bab50ed465277c161f6234e29b42a241715d1f45fcdf",
+    ("--paley", 19): "3accc93db814843d7fb9285a083166ff91205080885087eebd030ccbaa71a106",
+    ("--paley", 23): "5d4a344d6a4ae45596903751203a71cb1e1340bc10a2ad4397b74539daa06f49",
+    ("--paley", 27): "727f1e1e12508622809cfcab300e630ad3b2e06cf00b526510923d714f55b70f",
+    ("--paley", 31): "74c6ae4c695e190127c791c42731458babf22a7da84f2fd83acb5224dc05b9ed",
+}
+
+
+@pytest.mark.parametrize("source, q", sorted(CONSTRUCT_SHA256))
+def test_construct_symmetric_output_is_pinned(capsys, tmp_path, source, q):
+    v = q * q + q + 1 if source == "--plane" else q
+    target = tmp_path / "d.json"
+    digest = hashlib.sha256()
+    for variant in ("residual", "complemented"):
+        for complement in ([], ["--complement"]):
+            for base in (0, v - 1):
+                code, _out, err = run_cli(capsys, "construct", "symmetric", source, str(q),
+                                          "--variant", variant, *complement,
+                                          "--base-point", str(base), "--out", str(target))
+                assert (code, err) == (0, ""), (variant, complement, base)
+                digest.update(target.read_bytes())
+    assert digest.hexdigest() == CONSTRUCT_SHA256[source, q]

@@ -209,7 +209,9 @@ def test_known_designs_all_verify():
 
     row_keys = {r.key for r in enumerate_rows(6, 30)}
     seen = set()
-    for label, design in known_designs():
+    catalog = known_designs()
+    assert len(catalog) == 48  # 24 base constructions, each followed by its complement
+    for label, design in catalog:
         r1, r2, n1, n2, w = shell_summary(design)
         profile = shells_of(design)
         assert profile.p == 2, label

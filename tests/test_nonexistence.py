@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from reference_table import REFERENCE_ROWS
+from tightdesigns.designs import complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.nonexistence import (
     CAUSE_CSP_EXHAUSTED,
@@ -180,6 +182,20 @@ def test_registry_covers_thirty_rows():
     assert len(registry) == 30
     row_keys = {r.key for r in ALL_ROWS.values()}
     assert set(registry) <= row_keys
+
+
+# sha256 of repr([(key, label, save(design)), ...]) in registry order
+REGISTRY_SHA256 = "d0ac4c7f4b4d86358660a22cae92e498c97cb3fd0c97de5b118fd8cac542961b"
+
+
+def test_registry_is_pinned_and_closed_under_complement():
+    registry = construction_registry()
+    entries = [(key, label, save(design)) for key, (label, design) in registry.items()]
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == REGISTRY_SHA256
+    for (n, r1, r2, n1, n2, w), (label, design) in registry.items():
+        _twin_label, twin = registry[(n, n - r2, n - r1, n2, n1, 1 / w)]
+        image = complement(design)
+        assert scale_weights(image, 1 / shells_of(image).shells[0][2]) == twin, label
 
 
 def test_verdict_serialization():
