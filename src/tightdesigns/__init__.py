@@ -25,12 +25,9 @@ from .hamming import (
     BinaryWord,
     DegenerateGram,
     GramParameters,
-    KrawtchoukTable,
-    SingularLeadingMinor,
     binomial,
     gram_closed_form,
     gram_schmidt_closed_form,
-    gram_schmidt_generic,
     krawtchouk,
     shell_intersection,
 )

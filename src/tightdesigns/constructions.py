@@ -10,7 +10,6 @@ designs) are generated from first principles rather than bundled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -342,31 +341,6 @@ def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) ->
     k = design.k
     points = tuple(p.complement() for p in residual.points[:k]) + residual.points[k:]
     return WeightedDesign(residual.n, points, residual.weights)
-
-
-def save_symmetric(design: SymmetricDesign) -> bytes:
-    obj = {
-        "v": design.v,
-        "k": design.k,
-        "lambda": design.lam,
-        "blocks": [sorted(b) for b in design.blocks],
-    }
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def load_symmetric(data) -> SymmetricDesign:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    try:
-        return SymmetricDesign(
-            obj["v"], obj["k"], obj["lambda"], tuple(frozenset(b) for b in obj["blocks"])
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
 
 
 # ---------------------------------------------------------------------------

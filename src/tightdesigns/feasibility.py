@@ -48,8 +48,9 @@ def candidate_row(n: int, r1: int, r2: int, n1: int) -> ParameterRow | None:
 
     Feasibility requires: alpha_1, alpha_2 even integers within
     [2, 2*min(r, n-r)] for their shells; the overlap parameter
-    a = r1(n-r2)/n an integer in [0, min(r1, n-r2)]; and, when the weight
-    ratio is 1, integral lambda_1, lambda_2 (they are then plain counts).
+    a = r1(n-r2)/n an integer (it always lies in [0, min(r1, n-r2)]);
+    and, when the weight ratio is 1, integral lambda_1, lambda_2 (they are
+    then plain counts).
     Fractional lambdas with w != 1 are allowed here and left to the
     nonexistence pipeline.
     """
@@ -66,7 +67,7 @@ def candidate_row(n: int, r1: int, r2: int, n1: int) -> ParameterRow | None:
         if value % 2 or not 2 <= value <= 2 * min(r, n - r):
             return None
     a = Fraction(r1 * (n - r2), n)
-    if a.denominator != 1 or not 0 <= a <= min(r1, n - r2):
+    if a.denominator != 1:
         return None
     gamma = r2 - r1 + 2 * int(a)
     lambda1 = Fraction(r1 * n1 + w * r2 * n2, n)

@@ -3,8 +3,8 @@
 Everything here is integer or rational arithmetic: binomial coefficients,
 Krawtchouk polynomials, shell intersection counts, and the closed-form Gram
 data of the degree-<=1 eigenfunctions restricted to two shells, together
-with their Gram-Schmidt orthogonalization.  No floating point anywhere;
-intermediate integers routinely exceed 64 bits (C(30,15)^2 scale).
+with their closed-form Gram-Schmidt orthogonalization.  No floating point
+anywhere; intermediate integers routinely exceed 64 bits (C(30,15)^2 scale).
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from math import comb
 
 class DegenerateGram(ValueError):
     """A closed-form Gram-Schmidt denominator vanished."""
-
-
-class SingularLeadingMinor(ValueError):
-    """A leading principal minor (Gram determinant) is zero."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -38,23 +34,6 @@ def krawtchouk(n: int, k: int, u: int) -> int:
     if not (0 <= k <= n and 0 <= u <= n):
         raise ValueError(f"krawtchouk indices out of range: n={n}, k={k}, u={u}")
     return sum((-1) ** i * binomial(n - u, k - i) * binomial(u, i) for i in range(k + 1))
-
-
-class KrawtchoukTable:
-    """All values Q_k(u), 0 <= k,u <= n, precomputed; immutable after build."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
-        self._values = tuple(
-            tuple(krawtchouk(n, k, u) for u in range(n + 1)) for k in range(n + 1)
-        )
-
-    def value(self, k: int, u: int) -> int:
-        return self._values[k][u]
-
-    __call__ = value
 
 
 @dataclass(frozen=True, order=True)
@@ -151,16 +130,6 @@ class GramParameters:
         """<phi_0, phi_0> = W1 + W2."""
         return self.W1 + self.W2
 
-    def matrix(self) -> list[list[Fraction]]:
-        """The (n+1) x (n+1) Gram matrix in basis order (phi_1..phi_n, phi_0)."""
-        n = self.n
-        g = [[self.c2] * (n + 1) for _ in range(n + 1)]
-        for i in range(n):
-            g[i][i] = self.c0
-            g[i][n] = g[n][i] = self.d0
-        g[n][n] = self.weight_sum
-        return g
-
 
 def gram_shell_terms(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     """Per-unit-weight contributions of one shell to (d0, c0, c2).
@@ -225,41 +194,3 @@ def gram_schmidt_closed_form(g: GramParameters) -> tuple[list[Fraction], list[Fr
     coefficients.append(d0 / last_den)
     norms.append(g.weight_sum - n * d0 * d0 / last_den)
     return coefficients, norms
-
-
-def gram_schmidt_generic(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt on an arbitrary exact symmetric Gram matrix.
-
-    Returns (expansion, norms): expansion is a lower unitriangular matrix C
-    with h_i = sum_j C[i][j] phi_j, and norms[i] = ||h_{i+1}||^2 equals the
-    ratio D_{i+1}/D_i of consecutive Gram determinants.  Raises
-    SingularLeadingMinor when some D_j = 0.
-    """
-    m = len(gram)
-    gram = [[Fraction(x) for x in row] for row in gram]
-    if any(len(row) != m for row in gram):
-        raise ValueError("gram matrix must be square")
-    for i in range(m):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise ValueError("gram matrix must be symmetric")
-    expansion: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    # inner[i][a] = <h_{i+1}, phi_{a+1}>, kept to make each step O(m^2)
-    inner: list[list[Fraction]] = []
-    for i in range(m):
-        coeffs = [Fraction(0)] * m
-        coeffs[i] = Fraction(1)
-        for j in range(i):
-            if norms[j] == 0:
-                raise SingularLeadingMinor(f"Gram determinant D_{j + 1} = 0")
-            mu = inner[j][i] / norms[j]
-            for a in range(j + 1):
-                coeffs[a] -= mu * expansion[j][a]
-        row_inner = [
-            sum(coeffs[a] * gram[a][b] for a in range(i + 1)) for b in range(m)
-        ]
-        norms.append(sum(coeffs[a] * row_inner[a] for a in range(i + 1)))
-        expansion.append(coeffs)
-        inner.append(row_inner)
-    return expansion, norms

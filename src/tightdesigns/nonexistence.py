@@ -247,8 +247,8 @@ def csp_search(row: ParameterRow, shell: int, solutions, budget: int = DEFAULT_B
     per-point incidence patterns (which blocks contain the point), which
     quotients away point relabeling; block relabeling is broken by forcing
     one point onto the first lexicographic pattern.  Exhausting the space
-    refutes; exceeding the node budget is reported as undecided, never as a
-    claim.
+    refutes; exceeding the node budget, or a pattern space larger than it,
+    is reported as undecided, never as a claim.
     """
     n_blocks, size, meet, degree, domain = _shell_parameters(row, shell, solutions)
     status, blocks, nodes = _pattern_search(row.n, n_blocks, size, meet, degree, domain, budget)
@@ -287,6 +287,9 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     if degree >= 2 and meet == 0:
         # every point would cover some index pair, but no pair may be covered
         return "refuted", None, 0
+    if binomial(n_blocks, degree) > budget:
+        # the budget bounds setup too: never build more patterns than it allows nodes
+        return "undecided", None, 0
 
     patterns = list(combinations(range(n_blocks), degree))
     masks = [sum(1 << i for i in p) for p in patterns]
@@ -477,7 +480,7 @@ def verify_constructed(row: ParameterRow, design: WeightedDesign) -> None:
         raise RuntimeError(f"registry design for {row} has wrong relation distances")
 
 
-def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET, use_registry: bool = True) -> Verdict:
+def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Classify one parameter row.
 
     The construction registry is consulted first; a hit is fully verified
@@ -486,19 +489,18 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET, use_registry: bool =
     filters, and the configuration search on the shell with fewer blocks,
     falling back to the other shell only when the first is undecided.
     """
-    if use_registry:
-        hit = construction_registry().get(row.key)
-        if hit is not None:
-            label, design = hit
-            if row.key not in _VERIFIED_KEYS:
-                verify_constructed(row, design)
-                _VERIFIED_KEYS.add(row.key)
-            witness = {
-                "kind": "design",
-                "source": label,
-                "design": save(design).decode("utf-8"),
-            }
-            return Verdict("found", detail=f"constructed by {label}", witness=witness)
+    hit = construction_registry().get(row.key)
+    if hit is not None:
+        label, design = hit
+        if row.key not in _VERIFIED_KEYS:
+            verify_constructed(row, design)
+            _VERIFIED_KEYS.add(row.key)
+        witness = {
+            "kind": "design",
+            "source": label,
+            "design": save(design).decode("utf-8"),
+        }
+        return Verdict("found", detail=f"constructed by {label}", witness=witness)
     lam = point_lambdas(row)
     if isinstance(lam, Verdict):
         return lam

@@ -1,4 +1,4 @@
-"""Design verification: the two design criteria, tightness, and the frame identities.
+"""Design verification: the two design criteria, tightness, and the frame identity.
 
 Two independent criteria decide whether a weighted set is a relative
 t-design: the moment criterion (weighted sums of eigenfunction values equal
@@ -17,10 +17,9 @@ from typing import Optional
 from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
 from .hamming import (
     BinaryWord,
-    KrawtchoukTable,
     binomial,
     gram_closed_form,
-    gram_shell_terms,
+    krawtchouk,
     shell_intersection,
 )
 
@@ -94,20 +93,17 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     n = design.n
     if not 0 <= t <= n:
         raise ValueError(f"t={t} outside 0..{n}")
-    table = KrawtchoukTable(n)
     totals = _shell_weights(design)
     # Q_j values are integers: sum them per weight value, then weight each sum once
     groups: dict[Fraction, list[int]] = {}
     for y, w in zip(design.points, design.weights):
         groups.setdefault(w, []).append(y.bits)
     for j in range(t + 1):
+        q = [krawtchouk(n, j, nu) for nu in range(n + 1)]
         rhs = Fraction(0)
         for r, W in totals.items():
-            acc = sum(
-                shell_intersection(n, j, r, nu) * table(j, nu) for nu in range(n + 1)
-            )
+            acc = sum(shell_intersection(n, j, r, nu) * q[nu] for nu in range(n + 1))
             rhs += W * Fraction(acc, binomial(n, r))
-        q = [table(j, nu) for nu in range(n + 1)]
         for u in _words_of_weight(n, j):
             lhs = sum(
                 w * sum(q[(u.bits ^ y).bit_count()] for y in ys) for w, ys in groups.items()
@@ -153,27 +149,14 @@ def _two_shell_gram(design: WeightedDesign):
     return gram_closed_form(design.n, r1, r2, totals[r1], totals[r2])
 
 
-def _span_block(n: int, d0: Fraction, c0: Fraction, c2: Fraction, weight_sum: Fraction):
-    """The Gram matrix restricted to span{(1,...,1, 0), (0,...,0, 1)}.
-
-    The Gram matrix c0*I + c2*(J-I), bordered by d0 and W1+W2, maps that span
-    into itself by this 2x2 matrix (columns are the images of the two basis
-    vectors) and acts as (c0 - c2)*I on its orthogonal complement, the
-    (n-1)-dimensional space of vectors (v, 0) with sum(v) = 0.
-    """
-    return ((c0 + (n - 1) * c2, d0), (n * d0, weight_sum))
-
-
 def tightness_check(design: WeightedDesign) -> TightnessReport:
-    """Compare |Y| with dim of the restricted degree-<=1 function space.
+    """Compare |Y| with n - 1 + p, the dimension of the degree-<=1 functions on p shells.
 
-    The dimension is the rank of the (n+1) x (n+1) Gram matrix of the
-    closed-form inner products.  That matrix splits into (c0 - c2)*I on an
-    (n-1)-dimensional subspace and a 2x2 block K on its complement (see
-    _span_block), so its rank is (n-1)*[c0 != c2] + rank(K), computed
-    exactly, never by evaluating functions on whole shells.  For two shells
-    with 1 <= r1 < r2 <= n-1 it equals n+1.  Single-shell sets are supported
-    so that full shells can be reported as non-tight.
+    On shells 1 <= r1 < r2 <= n-1 a relation sum_s a_s x_s + b = 0 has all a_s equal (swap
+    one coordinate into a support and one out), and a*r1 = a*r2 = -b then gives a = b = 0:
+    the dimension is n+1 on two shells and n on one.  With positive weights the Gram rank
+    equals it.  Single-shell sets are supported so that full shells can be reported as
+    non-tight.
     """
     n = design.n
     profile = shells_of(design)
@@ -181,44 +164,27 @@ def tightness_check(design: WeightedDesign) -> TightnessReport:
         raise WrongShellCount(f"need at most 2 shells, found {profile.p}")
     if any(r in (0, n) for r in profile.radii):
         raise DegenerateShells(f"shells {profile.radii} touch 0 or n")
-    totals = _shell_weights(design)
-    d0 = c0 = c2 = Fraction(0)
-    for r, W in totals.items():
-        t_d0, t_c0, t_c2 = gram_shell_terms(n, r)
-        d0 += W * t_d0
-        c0 += W * t_c0
-        c2 += W * t_c2
-    (a, b), (c, d) = _span_block(n, d0, c0, c2, sum(totals.values()))
-    # K is never zero (its corner W1+W2 is positive), so its rank is 1 or 2
-    bound = (n - 1) * (c0 != c2) + (2 if a * d != b * c else 1)
+    bound = n - 1 + profile.p
     return TightnessReport(design.size, bound, design.size == bound)
 
 
 def frame_check(design: WeightedDesign) -> bool:
-    """Exact dual-frame identities of a tight design, in square-root-free form.
+    """The frame identity E W E^T = G of a tight design, exactly and square-root free.
 
-    With E the (n+1) x |Y| evaluation matrix of (phi_1..phi_n, phi_0) on the
-    design points, W the diagonal weight matrix, and G the closed-form Gram
-    matrix, a tight relative 2-design satisfies E W E^T = G and
-    E^T G^{-1} E = W^{-1} exactly.  Both are checked entry by entry through
-    closed forms in the weights |y| and the overlaps |x ∧ y| of the points,
-    with G^{-1} taken from the splitting described in _span_block.
+    E is the (n+1) x |Y| evaluation matrix of (phi_1..phi_n, phi_0) on the design
+    points, W the diagonal weight matrix and G the closed-form Gram matrix.  The dual
+    identity E^T G^{-1} E = W^{-1} follows: G is positive definite (see tightness_check)
+    and E is square, so E W E^T = G makes E invertible and W^{-1} = E^T G^{-1} E.
+
+    With phi_s(y) = p_y + 4*y_s and p_y = n - 2|y| - 2, every entry of E W E^T is a
+    sum over classes of points with equal (|y|, w_y) of integer counts: the class
+    size, the points with y_s = 1, and those with y_s = y_t = 1, each a popcount of
+    per-coordinate bit-mask columns.
     """
     n = design.n
     gram = _two_shell_gram(design)
     if design.size != n + 1:
         raise NotTight(f"|Y| = {design.size} != n+1 = {n + 1}")
-    return _frame_gram_identity(design, gram) and _frame_dual_identity(design, gram)
-
-
-def _frame_gram_identity(design: WeightedDesign, gram) -> bool:
-    """E W E^T = G, using phi_s(y) = p_y + 4*y_s with p_y = n - 2|y| - 2.
-
-    Every entry is then a sum over classes of points with equal (|y|, w_y)
-    of integer counts: the class size, the points with y_s = 1, and those
-    with y_s = y_t = 1, each a popcount of per-coordinate bit-mask columns.
-    """
-    n = design.n
     classes: dict[tuple[int, Fraction], int] = {}
     columns = [0] * n
     for i, (y, w) in enumerate(zip(design.points, design.weights)):
@@ -247,43 +213,6 @@ def _frame_gram_identity(design: WeightedDesign, gram) -> bool:
     return True
 
 
-def _frame_dual_identity(design: WeightedDesign, gram) -> bool:
-    """E^T G^{-1} E = W^{-1}, from the splitting of G in _span_block.
-
-    The column of E at y is (p_y + 4y, 1).  Its part orthogonal to the span
-    is (4(y - |y|/n), 0), on which G^{-1} is 1/(c0 - c2); its part in the
-    span has coordinates (m_y, 1) with m_y = p_y + 4|y|/n, on which G^{-1}
-    is K^{-1}.  With (s_x, t_x) = K^{-1}(m_x, 1), entry (x, y) is
-
-      16(n|x ∧ y| - |x||y|) / (n(c0 - c2)) + n*m_y*s_x + t_x.
-    """
-    n, d0, c0, c2 = design.n, gram.d0, gram.c0, gram.c2
-    (a, b), (c, d) = _span_block(n, d0, c0, c2, gram.weight_sum)
-    det = a * d - b * c
-    span_terms = {}  # |y| -> (m_y, s_y, t_y)
-    for y in design.points:
-        m = Fraction(n * (n - 2 * y.weight - 2) + 4 * y.weight, n)
-        span_terms[y.weight] = (m, (d * m - b) / det, (a - c * m) / det)
-    values: dict[tuple[int, int, int], Fraction] = {}
-
-    def entry(size_x: int, size_y: int, overlap: int) -> Fraction:
-        key = (size_x, size_y, overlap)
-        if key not in values:
-            _, s_x, t_x = span_terms[size_x]
-            values[key] = (Fraction(16 * (n * overlap - size_x * size_y), n) / (c0 - c2)
-                           + n * span_terms[size_y][0] * s_x + t_x)
-        return values[key]
-
-    points, weights = design.points, design.weights
-    for i, x in enumerate(points):
-        if entry(x.weight, x.weight, x.weight) != 1 / weights[i]:
-            return False
-        for y in points[i + 1:]:
-            if entry(x.weight, y.weight, (x.bits & y.bits).bit_count()) != 0:
-                return False
-    return True
-
-
 def weight_constancy_check(design: WeightedDesign) -> bool:
     """True iff the weight function is constant on every shell."""
     return all(constant is not None for _, _, constant in shells_of(design).shells)
@@ -293,7 +222,7 @@ def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
     """Every check of a tight two-shell relative t-design, in printing order.
 
     The results are the moment and balance criteria at t, tightness, the
-    frame identities, the relation profile and weight constancy.  A set
+    frame identity, the relation profile and weight constancy.  A set
     the two-shell checks do not apply to (not two shells, a shell at radius
     0 or n, or not of size n+1) gets, in place of the ones it cannot take,
     a single failed "two-shell checks" result that says why.  Raises

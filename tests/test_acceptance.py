@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+from oracles import gram_matrix, gram_schmidt_generic
 from reference_table import EMPTY_N, REFERENCE_ROWS
 from tightdesigns import constructions, verify
 from tightdesigns.designs import WeightedDesign, make_design, shells_of
@@ -18,11 +19,10 @@ from tightdesigns.feasibility import enumerate_rows, to_csv
 from tightdesigns.hamming import (
     BinaryWord,
     DegenerateGram,
-    KrawtchoukTable,
     binomial,
     gram_closed_form,
     gram_schmidt_closed_form,
-    gram_schmidt_generic,
+    krawtchouk,
 )
 from tightdesigns.nonexistence import construction_registry, decide
 
@@ -142,7 +142,6 @@ def test_criterion_3_nonexistence_reproduction():
 
 def _brute_shell_sums(n):
     """Direct per-shell sums of phi products over whole shells, by enumeration."""
-    table = KrawtchoukTable(n)
     e1 = BinaryWord.from_support(n, (1,))
     e2 = BinaryWord.from_support(n, (2,))
     sums = {}
@@ -150,10 +149,10 @@ def _brute_shell_sums(n):
         s_d0 = s_c0 = s_c2 = 0
         for support in combinations(range(1, n + 1), r):
             x = BinaryWord.from_support(n, support)
-            q1 = table(1, e1.distance(x))
+            q1 = krawtchouk(n, 1, e1.distance(x))
             s_d0 += q1
             s_c0 += q1 * q1
-            s_c2 += q1 * table(1, e2.distance(x))
+            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
         sums[r] = (s_d0, s_c0, s_c2)
     return sums
 
@@ -165,16 +164,14 @@ def test_criterion_4_property_suites():
 
     # Krawtchouk orthogonality and reciprocity, exact for all n <= 14
     for n in range(1, 15):
-        table = KrawtchoukTable(n)
+        q = [[krawtchouk(n, k, u) for u in range(n + 1)] for k in range(n + 1)]
         for k in range(n + 1):
             for l in range(n + 1):
-                total = sum(
-                    binomial(n, u) * table(k, u) * table(l, u) for u in range(n + 1)
-                )
+                total = sum(binomial(n, u) * q[k][u] * q[l][u] for u in range(n + 1))
                 if total != (2**n * binomial(n, k) if k == l else 0):
                     failures.append(f"orthogonality fails at n={n}, k={k}, l={l}")
             for u in range(n + 1):
-                if binomial(n, u) * table(k, u) != binomial(n, k) * table(u, k):
+                if binomial(n, u) * q[k][u] != binomial(n, k) * q[u][k]:
                     failures.append(f"reciprocity fails at n={n}, k={k}, u={u}")
 
     # closed-form Gram data == brute-force shell summation, n <= 10,
@@ -203,7 +200,7 @@ def test_criterion_4_property_suites():
                         _, closed_norms = gram_schmidt_closed_form(g)
                     except DegenerateGram:
                         continue
-                    _, generic_norms = gram_schmidt_generic(g.matrix())
+                    _, generic_norms = gram_schmidt_generic(gram_matrix(g))
                     if closed_norms != generic_norms:
                         failures.append(f"gram-schmidt mismatch at {(n, r1, r2, W1, W2)}")
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -157,16 +158,35 @@ def test_decide_rejects_negative_budget_flag(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def run_module(*argv, optimize):
-    """Run the command in a fresh interpreter, with or without -O."""
+def run_process(*argv, flags=(), timeout=300, **kwargs):
+    """Run the command in a fresh interpreter with the given interpreter flags."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("DESIGNS_SEARCH_BUDGET", None)
-    flags = ["-O"] if optimize else []
-    result = subprocess.run([sys.executable, *flags, "-m", "tightdesigns.cli", *argv],
-                            capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *flags, "-m", "tightdesigns.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+
+
+def run_module(*argv, optimize):
+    """Run the command in a fresh interpreter, with or without -O."""
+    result = run_process(*argv, flags=["-O"] if optimize else [])
     return result.returncode, result.stdout
+
+
+def test_budget_bounds_search_setup():
+    # shell 2 of row 56(2) has C(49, 21) ~ 3.9e13 incidence patterns: a one-node
+    # budget must stop the search before it builds them; the memory cap and the
+    # timeout make a search that does build them fail fast
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = run_process("decide", "--n", "56", "--row-index", "2", "--budget", "1",
+                         timeout=60, preexec_fn=cap_memory)
+    assert (result.returncode, result.stderr) == (3, "")
+    assert result.stdout.splitlines() == [
+        "56(2) r1=7 r2=24 N1=8 N2=49 w=1/2: UNDECIDED [shell 2 (49 blocks of size 24, "
+        "pairwise meets 10): node budget 1 exhausted]"]
 
 
 def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):

@@ -16,11 +16,9 @@ from tightdesigns.constructions import (
     from_symmetric_residual,
     hadamard_design,
     known_designs,
-    load_symmetric,
     paley_design,
     paley_hadamard,
     projective_plane,
-    save_symmetric,
     sylvester_hadamard,
 )
 from tightdesigns.designs import relation_profile, shells_of
@@ -195,13 +193,6 @@ def test_base_point_choice_is_isomorphic():
         design = from_symmetric_residual(plane, base_point=base)
         assert shell_summary(design) == (2, 3, 3, 4, 1)
         assert fully_verified(design)
-
-
-def test_symmetric_save_load_round_trip():
-    design = paley_design(11)
-    again = load_symmetric(save_symmetric(design))
-    assert (again.v, again.k, again.lam) == (design.v, design.k, design.lam)
-    assert set(again.blocks) == set(design.blocks)
 
 
 def test_known_designs_all_verify():

@@ -3,15 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from oracles import SingularLeadingMinor, gram_matrix, gram_schmidt_generic
 from tightdesigns.hamming import (
     BinaryWord,
     DegenerateGram,
-    KrawtchoukTable,
-    SingularLeadingMinor,
     binomial,
     gram_closed_form,
     gram_schmidt_closed_form,
-    gram_schmidt_generic,
     krawtchouk,
     shell_intersection,
 )
@@ -59,16 +57,15 @@ def test_krawtchouk_range_errors():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_krawtchouk_identities(n):
-    table = KrawtchoukTable(n)
+    q = [[krawtchouk(n, k, u) for u in range(n + 1)] for k in range(n + 1)]
     for k in range(n + 1):
-        assert table(k, 0) == binomial(n, k)
-        assert table(1, k) == n - 2 * k
+        assert q[k][0] == binomial(n, k)
+        assert q[1][k] == n - 2 * k
         for u in range(n + 1):
-            assert table(k, u) == krawtchouk(n, k, u)
             # reciprocity
-            assert binomial(n, u) * table(k, u) == binomial(n, k) * table(u, k)
+            assert binomial(n, u) * q[k][u] == binomial(n, k) * q[u][k]
         for l in range(n + 1):
-            total = sum(binomial(n, u) * table(k, u) * table(l, u) for u in range(n + 1))
+            total = sum(binomial(n, u) * q[k][u] * q[l][u] for u in range(n + 1))
             assert total == (2**n * binomial(n, k) if k == l else 0)
 
 
@@ -106,7 +103,6 @@ def test_shell_intersection_row_sums(n):
 
 def brute_gram(n, r1, r2, W1, W2):
     """Direct weighted shell summation of the eigenfunction inner products."""
-    table = KrawtchoukTable(n)
     e1 = BinaryWord.from_support(n, (1,))
     e2 = BinaryWord.from_support(n, (2,))
     d0 = c0 = c2 = Fraction(0)
@@ -114,10 +110,10 @@ def brute_gram(n, r1, r2, W1, W2):
         s_d0 = s_c0 = s_c2 = 0
         for support in combinations(range(1, n + 1), r):
             x = BinaryWord.from_support(n, support)
-            q1 = table(1, e1.distance(x))
+            q1 = krawtchouk(n, 1, e1.distance(x))
             s_d0 += q1
             s_c0 += q1 * q1
-            s_c2 += q1 * table(1, e2.distance(x))
+            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
         scale = Fraction(W, binomial(n, r))
         d0 += scale * s_d0
         c0 += scale * s_c0
@@ -176,7 +172,7 @@ def test_gram_schmidt_closed_vs_generic():
     ):
         g = gram_closed_form(n, r1, r2, Fraction(W1), Fraction(W2))
         coefficients, closed_norms = gram_schmidt_closed_form(g)
-        expansion, generic_norms = gram_schmidt_generic(g.matrix())
+        expansion, generic_norms = gram_schmidt_generic(gram_matrix(g))
         assert closed_norms == generic_norms
         # the closed-form mixing coefficients match the generic expansion rows
         for i in range(1, n):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from reference_table import REFERENCE_ROWS
+from tightdesigns import nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.nonexistence import (
@@ -149,12 +150,13 @@ def test_decide_refutes_every_nonexistent_row():
             assert decide(row(n, index)).refuted, (n, index)
 
 
-def test_decide_never_refutes_existing_rows_without_registry():
-    # soundness of the pipeline itself: with the registry disabled and a small
+def test_decide_never_refutes_existing_rows_without_registry(monkeypatch):
+    # soundness of the pipeline itself: with an empty registry and a small
     # budget, no classified-existing row may come back refuted
+    monkeypatch.setattr(nonexistence, "construction_registry", lambda: {})
     for (n, index, *_rest, exists) in REFERENCE_ROWS:
         if exists:
-            verdict = decide(row(n, index), budget=20_000, use_registry=False)
+            verdict = decide(row(n, index), budget=20_000)
             assert not verdict.refuted, (n, index)
 
 

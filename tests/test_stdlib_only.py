@@ -1,0 +1,24 @@
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tightdesigns"
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    seen = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{source.name} imports {name}"
+                seen.add(top)
+    assert {"fractions", "itertools"} <= seen

@@ -13,9 +13,9 @@ from tightdesigns.designs import (
 )
 from tightdesigns.hamming import (
     BinaryWord,
-    KrawtchoukTable,
     binomial,
     gram_shell_terms,
+    krawtchouk,
     shell_intersection,
 )
 from tightdesigns.nonexistence import construction_registry
@@ -262,17 +262,17 @@ def oracle_frame(design):
 
 def oracle_first_violation(design, t):
     n = design.n
-    table = KrawtchoukTable(n)
     totals = {}
     for p, w in zip(design.points, design.weights):
         totals[p.weight] = totals.get(p.weight, 0) + w
     for j in range(t + 1):
-        rhs = sum(W * Fraction(sum(shell_intersection(n, j, r, nu) * table(j, nu)
+        rhs = sum(W * Fraction(sum(shell_intersection(n, j, r, nu) * krawtchouk(n, j, nu)
                                    for nu in range(n + 1)), binomial(n, r))
                   for r, W in totals.items())
         for support in combinations(range(1, n + 1), j):
             u = BinaryWord.from_support(n, support)
-            lhs = sum(w * table(j, u.distance(y)) for y, w in zip(design.points, design.weights))
+            lhs = sum(w * krawtchouk(n, j, u.distance(y))
+                      for y, w in zip(design.points, design.weights))
             if lhs != rhs:
                 return (j, u, lhs, rhs)
     return None
