@@ -4,6 +4,17 @@ A candidate (n, r1, r2, N1) determines every remaining parameter by closed
 formulas; the row survives iff the determined values are integral, even
 where needed, and within their combinatorial ranges.  Enumerating all
 candidates for 6 <= n <= 30 reproduces the complete classification table.
+
+Three of those integrality conditions are divisibilities that the
+enumeration steps through directly instead of testing every candidate
+(N2 = n + 1 - N1):
+
+- a = r1(n - r2)/n is an integer iff n/gcd(n, r1) divides n - r2, that is,
+  iff r2 is a multiple of n/gcd(n, r1);
+- alpha1 = 2 r1(n - r1) N1 / (n(N1 - 1)) is an integer only if N1 - 1
+  divides 2 r1(n - r1), because gcd(N1 - 1, N1) = 1;
+- alpha2 = 2 r2(n - r2) N2 / (n(N2 - 1)) is an integer only if
+  N2 - 1 = n - N1 divides 2 r2(n - r2), because gcd(N2 - 1, N2) = 1.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .hamming import binomial
 
@@ -83,17 +95,28 @@ def enumerate_rows(n_min: int, n_max: int) -> list[ParameterRow]:
     """All feasible rows for n in [n_min, n_max], in (n, r1, r2, N1) lex order.
 
     Complement pairs are both emitted, matching the classification table.
+    Only candidates that meet the three divisibility conditions of the module
+    docstring reach `candidate_row`, which still decides feasibility: r2 steps
+    through the multiples of n/gcd(n, r1) (a integral), N1 - 1 runs over the
+    divisors of 2 r1(n - r1) (alpha1 integral, as gcd(N1 - 1, N1) = 1), and
+    n - N1 must divide 2 r2(n - r2) (alpha2 integral, as gcd(N2 - 1, N2) = 1).
     """
     if n_min > n_max:
         raise ValueError("n_min exceeds n_max")
     rows = []
     for n in range(n_min, n_max + 1):
         for r1 in range(1, n):
-            for r2 in range(r1 + 1, n):
-                for n1 in range(2, n):
-                    row = candidate_row(n, r1, r2, n1)
-                    if row is not None:
-                        rows.append(row)
+            step = n // gcd(n, r1)
+            twice1 = 2 * r1 * (n - r1)
+            n1s = [n1 for n1 in range(2, n) if twice1 % (n1 - 1) == 0]
+            # r2 runs over the multiples of step above r1
+            for r2 in range(r1 - r1 % step + step, n, step):
+                twice2 = 2 * r2 * (n - r2)
+                for n1 in n1s:
+                    if twice2 % (n - n1) == 0:
+                        row = candidate_row(n, r1, r2, n1)
+                        if row is not None:
+                            rows.append(row)
     return rows
 
 

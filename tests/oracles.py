@@ -1,10 +1,27 @@
-"""Generic exact linear algebra, kept as test oracles for the closed forms.
+"""Generic exact linear algebra and the exhaustive row enumeration, kept as
+test oracles for the closed forms and the divisibility-driven enumeration.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`
-replace them, and the tests compare the two.
+and `tightdesigns.feasibility.enumerate_rows` replace them, and the tests
+compare the two.
 """
 
 from fractions import Fraction
+
+from tightdesigns.feasibility import candidate_row
+
+
+def enumerate_rows_exhaustive(n_min: int, n_max: int) -> list:
+    """Every feasible row for n in [n_min, n_max], trying each (n, r1, r2, N1)."""
+    rows = []
+    for n in range(n_min, n_max + 1):
+        for r1 in range(1, n):
+            for r2 in range(r1 + 1, n):
+                for n1 in range(2, n):
+                    row = candidate_row(n, r1, r2, n1)
+                    if row is not None:
+                        rows.append(row)
+    return rows
 
 
 class SingularLeadingMinor(ValueError):

@@ -43,6 +43,15 @@ def test_enumerate_json(capsys):
     assert rows[0]["w"] == "2/3"
 
 
+def test_enumerate_6_to_60_csv_digest(capsys):
+    # every row of 6..60 in order, as the exhaustive enumeration printed them
+    code, out, _ = run_cli(capsys, "enumerate", "--n-min", "6", "--n-max", "60",
+                           "--format", "csv")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "6ab5b39bc0fc0541d446db0811d918e4512c51bfe5b59a22c3a60e7e6b092bcd")
+
+
 def test_construct_then_verify(capsys, tmp_path):
     target = tmp_path / "d.json"
     code, out, _ = run_cli(capsys, "construct", "hadamard", "--m", "3",

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from oracles import enumerate_rows_exhaustive
 from reference_table import REFERENCE_ROWS, EMPTY_N
 from tightdesigns.feasibility import (
     candidate_row,
@@ -14,7 +16,7 @@ from tightdesigns.feasibility import (
 )
 from tightdesigns.hamming import binomial
 
-ALL_ROWS = enumerate_rows(6, 30)
+ALL_ROWS = enumerate_rows(6, 200)
 
 
 def test_candidate_row_first_classified():
@@ -56,6 +58,11 @@ def test_enumerate_n30_block_matches_reference():
     assert got == [tuple(row) for row in expected]
 
 
+@pytest.mark.parametrize("n", [*range(6, 41), 48, 60])
+def test_enumerate_matches_exhaustive_oracle(n):
+    assert enumerate_rows(n, n) == enumerate_rows_exhaustive(n, n)
+
+
 def test_enumerate_rejects_bad_range():
     with pytest.raises(ValueError):
         enumerate_rows(10, 6)
@@ -73,6 +80,18 @@ def test_counting_identities():
         assert (binomial(r.r1, 2) * r.n1 + r.w * binomial(r.r2, 2) * r.n2
                 == binomial(r.n, 2) * r.lambda2)
         assert r.gamma == r.r2 - r.r1 + 2 * r.a
+
+
+def test_rows_strictly_increase():
+    orders = [(r.n, r.r1, r.r2, r.n1) for r in ALL_ROWS]
+    assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def test_rows_meet_divisibility_conditions():
+    for r in ALL_ROWS:
+        assert (r.n - r.r2) % (r.n // gcd(r.n, r.r1)) == 0
+        assert 2 * r.r1 * (r.n - r.r1) % (r.n1 - 1) == 0
+        assert 2 * r.r2 * (r.n - r.r2) % (r.n2 - 1) == 0
 
 
 def test_unit_weight_rows_have_integer_lambdas():
