@@ -1,8 +1,10 @@
 """Refutation engine for infeasible parameter rows.
 
 The pipeline derives, for a hypothetical design with a given parameter row,
-the per-point and per-pair incidence counts that the design conditions
-force, then refutes by (in order): non-integral point counts, an empty
+the per-point incidence counts that the design conditions force and, in
+closed form from those, the per-pair counts (inclusion-exclusion fixes the
+avoid count, the covering identity pairs the two shells' contain counts).
+It then refutes by (in order): non-integral point counts, an empty
 pair-count system, counting contradictions, and finally an exhaustive
 search for a single shell's block configuration.  A refutation from any one
 shell is conclusive since all constraints are necessary conditions.
@@ -20,7 +22,7 @@ from . import constructions, verify
 # relation_profile is not called here; the benchmark's tracer counts it under this name
 from .designs import WeightedDesign, relation_profile, save, shells_of  # noqa: F401
 from .feasibility import ParameterRow, row_to_dict
-from .hamming import binomial, krawtchouk
+from .hamming import binomial
 
 DEFAULT_BUDGET = 10**9
 
@@ -104,64 +106,33 @@ def point_lambdas(row: ParameterRow) -> Union[PointLambdas, Verdict]:
     return PointLambdas(int(first), int(second))
 
 
-def _q2(n: int, u: int) -> int:
-    return krawtchouk(n, 2, u)
-
-
 def pair_lambda_solutions(row: ParameterRow) -> tuple[PairLambdaSolution, ...]:
-    """All admissible per-pair count tuples.
+    """All admissible per-pair count tuples, in ascending order.
 
-    A pair u of coordinates splits each shell's points into those whose
-    support contains u (x_i), avoids u (y_i), and the rest.  The degree-2
-    moment condition evaluated at u gives one exact linear equation in
-    (x_1, y_1, x_2, y_2); the covering identity x_1 + w x_2 = lambda_2
-    gives another.  The admissible set is every nonnegative integer tuple
-    within the shell-size box satisfying both.
+    A pair u of coordinates splits shell i's blocks into x_i that contain u,
+    y_i that avoid u, and the rest; each coordinate lies in lambda^(i)_1 blocks.
+
+    1. Inclusion-exclusion gives y_i = N_i - 2 lambda^(i)_1 + x_i, so y_i >= 0 and
+       x_i + y_i <= N_i hold iff max(0, 2 lambda^(i)_1 - N_i) <= x_i <= lambda^(i)_1.
+    2. Q_2(r-2) - 2 Q_2(r) + Q_2(r+2) = 16, so with y_i substituted the degree-2
+       moment condition at u reads 16 (x_1 + w x_2) = 16 lambda_2: it fixes x_2.
+    3. Every feasible row has 2 <= r1 < r2 <= n-2 (a shell of radius 1 or n-1 has
+       alpha = 2, which forces N_i = n > n - 1), so no count is structurally zero.
+
+    Rows whose point lambdas are not integral have no tuple.
     """
-    n = row.n
-    ws = (Fraction(1), row.w)
-    sizes = (row.n1, row.n2)
-    radii = (row.r1, row.r2)
-    lhs = Fraction(0)
-    for i in range(2):
-        r = radii[i]
-        acc = 0
-        for delta, count in ((-2, binomial(n - 2, r - 2)), (2, binomial(n - 2, r)),
-                             (0, 2 * binomial(n - 2, r - 1))):
-            if count:
-                acc += count * _q2(n, r + delta)
-        lhs += ws[i] * sizes[i] * Fraction(acc, binomial(n, r))
-    constant = sum(ws[i] * sizes[i] * _q2(n, radii[i]) for i in range(2))
-    # coefficient of x_i is Q_2(r_i - 2) - Q_2(r_i); None marks a structurally
-    # forced-zero variable (blocks too small to contain / too large to avoid a pair)
-    cx = [ws[i] * (_q2(n, radii[i] - 2) - _q2(n, radii[i])) if radii[i] >= 2 else None
-          for i in range(2)]
-    cy = [ws[i] * (_q2(n, radii[i] + 2) - _q2(n, radii[i])) if radii[i] <= n - 2 else None
-          for i in range(2)]
+    lam = point_lambdas(row)
+    if not isinstance(lam, PointLambdas):
+        return ()
+    low2, high2 = max(0, 2 * lam.second - row.n2), lam.second
     solutions = []
-    for x1 in range(row.n1 + 1):
-        x2_exact = (row.lambda2 - x1) / row.w
-        if x2_exact.denominator != 1 or not 0 <= x2_exact <= row.n2:
-            continue
-        x2 = int(x2_exact)
-        if (cx[0] is None and x1) or (cx[1] is None and x2):
-            continue
-        base = constant + (cx[0] or 0) * x1 + (cx[1] or 0) * x2
-        for y1 in range(row.n1 - x1 + 1):
-            if cy[0] is None and y1:
-                continue
-            residue = lhs - base - (cy[0] or 0) * y1
-            if cy[1] is None or cy[1] == 0:
-                if residue == 0:
-                    top = 0 if cy[1] is None else row.n2 - x2
-                    solutions.extend(
-                        PairLambdaSolution(x1, y1, x2, y2) for y2 in range(top + 1)
-                    )
-            else:
-                y2_exact = residue / cy[1]
-                if y2_exact.denominator == 1 and 0 <= y2_exact <= row.n2 - x2:
-                    solutions.append(PairLambdaSolution(x1, y1, x2, int(y2_exact)))
-    return tuple(sorted(solutions))
+    for x1 in range(max(0, 2 * lam.first - row.n1), lam.first + 1):
+        x2 = (row.lambda2 - x1) / row.w
+        if x2.denominator == 1 and low2 <= x2 <= high2:
+            x2 = int(x2)
+            solutions.append(PairLambdaSolution(
+                x1, row.n1 - 2 * lam.first + x1, x2, row.n2 - 2 * lam.second + x2))
+    return tuple(solutions)
 
 
 def counting_filters(row: ParameterRow, solutions) -> Verdict:
@@ -171,6 +142,8 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
     for containment and N_i * C(n-r_i, 2) for avoidance.  When the system
     forces a single value the sum rule is an equality test; the forced-zero
     case contradicts any shell whose blocks contain (or miss) pairs at all.
+    The avoid sum is not tested: with y_i = N_i - 2 lambda^(i)_1 + x_i and
+    n lambda^(i)_1 = N_i r_i, it fails exactly when the contain sum fails.
     """
     if not solutions:
         raise ValueError("counting_filters needs a nonempty solution set")
@@ -189,7 +162,7 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
                 f"shell {shell}: every pair is forced to {kind} count 0, but each of the "
                 f"{blocks} blocks yields {per_block} such pairs",
             )
-    for kind, shell, values, blocks, per_block in checks:
+    for kind, shell, values, blocks, per_block in checks[::2]:  # the contain counts
         if len(values) == 1 and values[0] * binomial(n, 2) != blocks * per_block:
             return Verdict(
                 "refuted",
@@ -281,8 +254,7 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
         size, meet, degree = n - size, n - 2 * size + meet, n_blocks - degree
     if degree * n != n_blocks * size or meet < 0 or not 0 <= degree <= n_blocks:
         return "refuted", None, 0
-    if degree == 0:
-        return ("found", [[] for _ in range(n_blocks)], 0) if size == 0 else ("refuted", None, 0)
+    # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2
     domain = sorted(set(domain) & set(range(degree + 1)))
     if degree >= 2 and meet == 0:
         # every point would cover some index pair, but no pair may be covered

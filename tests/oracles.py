@@ -1,14 +1,18 @@
-"""Generic exact linear algebra and the exhaustive row enumeration, kept as
-test oracles for the closed forms and the divisibility-driven enumeration.
+"""Generic exact linear algebra, the exhaustive row enumeration and the
+degree-2 moment solve for the per-pair counts, kept as test oracles for the
+closed forms and the divisibility-driven enumeration.
 
-Nothing in the package uses these: the closed forms in `tightdesigns.hamming`
-and `tightdesigns.feasibility.enumerate_rows` replace them, and the tests
+Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
+`tightdesigns.feasibility.enumerate_rows` and
+`tightdesigns.nonexistence.pair_lambda_solutions` replace them, and the tests
 compare the two.
 """
 
 from fractions import Fraction
 
 from tightdesigns.feasibility import candidate_row
+from tightdesigns.hamming import binomial, krawtchouk
+from tightdesigns.nonexistence import PairLambdaSolution
 
 
 def enumerate_rows_exhaustive(n_min: int, n_max: int) -> list:
@@ -22,6 +26,66 @@ def enumerate_rows_exhaustive(n_min: int, n_max: int) -> list:
                     if row is not None:
                         rows.append(row)
     return rows
+
+
+def pair_lambda_solutions_moment(row) -> tuple:
+    """Per-pair count tuples from the degree-2 moment equation and the covering
+    identity alone, over the whole shell-size box.
+
+    A pair u of coordinates splits each shell's points into those whose
+    support contains u (x_i), avoids u (y_i), and the rest.  The moment
+    condition at u is one exact linear equation in (x_1, y_1, x_2, y_2);
+    x_1 + w x_2 = lambda_2 is another.  Inclusion-exclusion is not applied,
+    so the avoid counts are constrained only by that one equation.
+    """
+    n = row.n
+    ws = (Fraction(1), row.w)
+    sizes = (row.n1, row.n2)
+    radii = (row.r1, row.r2)
+
+    def q2(u):
+        return krawtchouk(n, 2, u)
+
+    lhs = Fraction(0)
+    for i in range(2):
+        r = radii[i]
+        acc = 0
+        for delta, count in ((-2, binomial(n - 2, r - 2)), (2, binomial(n - 2, r)),
+                             (0, 2 * binomial(n - 2, r - 1))):
+            if count:
+                acc += count * q2(r + delta)
+        lhs += ws[i] * sizes[i] * Fraction(acc, binomial(n, r))
+    constant = sum(ws[i] * sizes[i] * q2(radii[i]) for i in range(2))
+    # coefficient of x_i is Q_2(r_i - 2) - Q_2(r_i); None marks a structurally
+    # forced-zero variable (blocks too small to contain / too large to avoid a pair)
+    cx = [ws[i] * (q2(radii[i] - 2) - q2(radii[i])) if radii[i] >= 2 else None
+          for i in range(2)]
+    cy = [ws[i] * (q2(radii[i] + 2) - q2(radii[i])) if radii[i] <= n - 2 else None
+          for i in range(2)]
+    solutions = []
+    for x1 in range(row.n1 + 1):
+        x2_exact = (row.lambda2 - x1) / row.w
+        if x2_exact.denominator != 1 or not 0 <= x2_exact <= row.n2:
+            continue
+        x2 = int(x2_exact)
+        if (cx[0] is None and x1) or (cx[1] is None and x2):
+            continue
+        base = constant + (cx[0] or 0) * x1 + (cx[1] or 0) * x2
+        for y1 in range(row.n1 - x1 + 1):
+            if cy[0] is None and y1:
+                continue
+            residue = lhs - base - (cy[0] or 0) * y1
+            if cy[1] is None or cy[1] == 0:
+                if residue == 0:
+                    top = 0 if cy[1] is None else row.n2 - x2
+                    solutions.extend(
+                        PairLambdaSolution(x1, y1, x2, y2) for y2 in range(top + 1)
+                    )
+            else:
+                y2_exact = residue / cy[1]
+                if y2_exact.denominator == 1 and 0 <= y2_exact <= row.n2 - x2:
+                    solutions.append(PairLambdaSolution(x1, y1, x2, int(y2_exact)))
+    return tuple(sorted(solutions))
 
 
 class SingularLeadingMinor(ValueError):

@@ -94,6 +94,14 @@ def test_rows_meet_divisibility_conditions():
         assert 2 * r.r2 * (r.n - r.r2) % (r.n2 - 1) == 0
 
 
+def test_radii_stay_two_from_the_ends():
+    # radius 1 or n-1 forces alpha = 2 and so N = n, which N1 + N2 = n + 1 rules
+    # out; the per-pair counts and the pattern search rely on this
+    assert len(ALL_ROWS) == 2746
+    for r in ALL_ROWS:
+        assert 2 <= r.r1 < r.r2 <= r.n - 2, (r.n, r.r1, r.r2)
+
+
 def test_unit_weight_rows_have_integer_lambdas():
     for r in ALL_ROWS:
         if r.w == 1:

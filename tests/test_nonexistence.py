@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import pair_lambda_solutions_moment
 from reference_table import REFERENCE_ROWS
 from tightdesigns import nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
@@ -57,24 +58,46 @@ def test_pair_solutions_unique_for_10_1():
     assert pair_lambda_solutions(row(10, 1)) == (PairLambdaSolution(1, 4, 0, 0),)
 
 
-def test_pair_solutions_two_for_10_4():
-    assert pair_lambda_solutions(row(10, 4)) == (
-        PairLambdaSolution(0, 0, 4, 1),
-        PairLambdaSolution(0, 6, 4, 0),
-    )
+def test_pair_solutions_unique_for_10_4():
+    # (0, 6, 4, 0) also solves the moment equation, but inclusion-exclusion
+    # forces avoid1 = N1 - 2 lambda^(1)_1 + contain1 = 6 - 6 + 0 = 0
+    assert pair_lambda_solutions(row(10, 4)) == (PairLambdaSolution(0, 0, 4, 1),)
 
 
 def test_pair_solutions_projection_20_7():
+    # avoid1 = N1 - 2 lambda^(1)_1 + contain1 = contain1 - 1 excludes contain1 = 0
     sols = pair_lambda_solutions(row(20, 7))
-    assert sorted({s.contain1 for s in sols}) == [0, 3]
+    assert sorted({s.contain1 for s in sols}) == [3]
 
 
 def test_pair_solutions_satisfy_weighted_sum():
     for r in ALL_ROWS.values():
+        lam = point_lambdas(r)
         for s in pair_lambda_solutions(r):
             assert s.contain1 + r.w * s.contain2 == r.lambda2
             assert 0 <= s.contain1 + s.avoid1 <= r.n1
             assert 0 <= s.contain2 + s.avoid2 <= r.n2
+            assert s.avoid1 == r.n1 - 2 * lam.first + s.contain1
+            assert s.avoid2 == r.n2 - 2 * lam.second + s.contain2
+
+
+def test_pair_solutions_match_moment_oracle():
+    # the closed form is the moment equation's solution set cut down by
+    # inclusion-exclusion, on every row of 6..60 with integral point lambdas
+    checked = 0
+    for r in enumerate_rows(6, 60):
+        lam = point_lambdas(r)
+        if not isinstance(lam, PointLambdas):
+            assert pair_lambda_solutions(r) == ()
+            continue
+        checked += 1
+        expected = tuple(
+            s for s in pair_lambda_solutions_moment(r)
+            if s.avoid1 == r.n1 - 2 * lam.first + s.contain1
+            and s.avoid2 == r.n2 - 2 * lam.second + s.contain2
+        )
+        assert pair_lambda_solutions(r) == expected, (r.n, r.r1, r.r2, r.n1)
+    assert checked == 332
 
 
 def test_counting_filters_refutes_10_1():
@@ -142,6 +165,12 @@ def test_csp_budget_exhaustion_is_undecided():
 def test_csp_rejects_bad_shell():
     with pytest.raises(ValueError):
         csp_search(row(6, 1), 3, pair_lambda_solutions(row(6, 1)))
+
+
+def test_decide_refutes_20_4_and_20_7_by_zero_pair_degree():
+    for index in (4, 7):
+        verdict = decide(row(20, index))
+        assert verdict.refuted and verdict.cause == CAUSE_ZERO_PAIR_DEGREE, index
 
 
 def test_decide_refutes_every_nonexistent_row():
