@@ -358,3 +358,33 @@ def test_construct_symmetric_output_is_pinned(capsys, tmp_path, source, q):
                 assert (code, err) == (0, ""), (variant, complement, base)
                 digest.update(target.read_bytes())
     assert digest.hexdigest() == CONSTRUCT_SHA256[source, q]
+
+
+# sha256 of the file `construct hadamard --m M` writes: Sylvester for
+# m + 1 a power of two, Paley otherwise
+HADAMARD_SHA256 = {
+    3: "5154cf2e7d7f40fb3d33276ecf17223a62afe3531842cb558a8e5632c857b608",
+    7: "cc70b878640e62d8dc43bfbeaa312fd98137829baae796f5ce6328ebe4d7bf66",
+    11: "102f0eb202c850271ac636bfdc49ac8f03b68524a3574f089f6429c98c9f37aa",
+    15: "1a852b0510c7c374cef02abf438bed696c50709f211ad974a0d81babc8faddfa",
+    19: "9f09d2a89494ea2a33a78975f07056f1449e6480daeebed4008a3e8935d524a4",
+    23: "7161326755fe42bac8dd6a9affef8e073e9615e245c0529bc2b442e9ee3813fa",
+    27: "1ec8e716111cf2705699b0ab8a67bdc0277e15bf5e9d047e7bf5c17feac1457b",
+    31: "cab689b9cf630f2e002fe07fe204cbf0eac629a9a2bacd49cef339e289fd3284",
+}
+HADAMARD_ERRORS = {
+    4: "error: m = 4 needs m = 3 (mod 4)\n",
+    35: "error: need an odd prime power q = 3 (mod 4), got 35\n",
+}
+
+
+@pytest.mark.parametrize("m", sorted(HADAMARD_SHA256) + sorted(HADAMARD_ERRORS))
+def test_construct_hadamard_output_is_pinned(capsys, tmp_path, m):
+    target = tmp_path / "d.json"
+    code, out, err = run_cli(capsys, "construct", "hadamard", "--m", str(m), "--out", str(target))
+    if m in HADAMARD_ERRORS:
+        assert (code, out, err) == (2, "", HADAMARD_ERRORS[m])
+        assert not target.exists()
+    else:
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == HADAMARD_SHA256[m]
