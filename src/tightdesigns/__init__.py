@@ -2,8 +2,8 @@
 
 Exact-arithmetic toolkit: spectral primitives (`hamming`), the weighted
 design model (`designs`), design verification (`verify`), parameter-row
-enumeration (`feasibility`), constructions from Hadamard matrices and
-symmetric designs (`constructions`), and the refutation pipeline
+enumeration (`feasibility`), constructions from symmetric designs, Hadamard
+2-designs among them (`constructions`), and the refutation pipeline
 (`nonexistence`).
 """
 

@@ -90,8 +90,7 @@ def _cmd_construct(args) -> int:
         try:
             if args.m % 4 != 3:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
-            matrix = constructions.hadamard_of_order(args.m + 1)
-            design = constructions.hadamard_design(matrix)
+            design = constructions.hadamard_design(constructions.hadamard_of_order(args.m + 1))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED

@@ -1,11 +1,13 @@
 """Constructions of tight relative 2-designs and of their input objects.
 
 Two routes produce every known tight relative 2-design on two shells of
-H(n,2): pairing the rows of a normalized Hadamard matrix of order m+1
-(m = n/2 = 3 mod 4) with the coordinate pairs, and splitting a symmetric
-2-(n+1, k, lambda) design at a base point.  The input catalogs (Sylvester
-and Paley Hadamard matrices, projective planes, Paley difference-set
-designs) are generated from first principles rather than bundled.
+H(n,2), both from a symmetric 2-design: pairing the blocks of a Hadamard
+2-(m, (m-1)/2, (m-3)/4) design (m = n/2 = 3 mod 4) with the coordinate
+pairs, and splitting a symmetric 2-(n+1, k, lambda) design at a base point.
+A Hadamard 2-design is a normalized Hadamard matrix of order m+1: border
+its +-1 incidence matrix with a row and a column of +1.  The input catalogs
+(Sylvester and Paley Hadamard 2-designs, projective planes) are generated
+from first principles rather than bundled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class BadModulus(ValueError):
 
 
 class BadOrder(ValueError):
-    """The Hadamard pairing needs order m+1 with m = 3 (mod 4)."""
+    """The Hadamard pairing needs a 2-(m, (m-1)/2, (m-3)/4) design with m = 3 (mod 4)."""
 
 
 class UnsupportedOrder(ValueError):
@@ -123,99 +125,6 @@ class _Field:
 
 
 # ---------------------------------------------------------------------------
-# Hadamard matrices
-
-
-@dataclass(frozen=True)
-class HadamardMatrix:
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        h = len(self.rows)
-        for row in self.rows:
-            if len(row) != h or set(row) - {1, -1}:
-                raise ValueError("entries must be +1/-1 in a square matrix")
-        for i in range(h):
-            for j in range(i, h):
-                dot = sum(self.rows[i][t] * self.rows[j][t] for t in range(h))
-                if dot != (h if i == j else 0):
-                    raise ValueError("rows are not orthogonal: H H^T != h I")
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def normalized(self) -> "HadamardMatrix":
-        """Sign-flip columns, then rows, so row 0 and column 0 are all +1."""
-        rows = [list(r) for r in self.rows]
-        for c, sign in enumerate(rows[0]):
-            if sign < 0:
-                for row in rows:
-                    row[c] = -row[c]
-        for row in rows:
-            if row[0] < 0:
-                row[:] = [-x for x in row]
-        return HadamardMatrix(tuple(tuple(r) for r in rows))
-
-
-def sylvester_hadamard(k: int) -> HadamardMatrix:
-    """Order 2^k by repeated doubling of [[+,+],[+,-]]."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    rows = [[1]]
-    for _ in range(k):
-        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
-    return HadamardMatrix(tuple(tuple(r) for r in rows))
-
-
-def paley_hadamard(q: int) -> HadamardMatrix:
-    """Order q+1 from quadratic residues of GF(q), q an odd prime power = 3 (mod 4)."""
-    if _prime_power(q) is None or q % 4 != 3:
-        raise BadModulus(f"need an odd prime power q = 3 (mod 4), got {q}")
-    field = _Field(q)
-    squares = field.nonzero_squares()
-
-    def chi(x):
-        if x == field.zero:
-            return 0
-        return 1 if x in squares else -1
-
-    elems = field.elements
-    rows = [[1] * (q + 1)]
-    for i, a in enumerate(elems):
-        row = [-1]
-        for j, b in enumerate(elems):
-            if i == j:
-                row.append(1)
-            else:
-                row.append(chi(field.sub(b, a)))
-        rows.append(row)
-    return HadamardMatrix(tuple(tuple(r) for r in rows)).normalized()
-
-
-def hadamard_design(matrix: HadamardMatrix) -> WeightedDesign:
-    """Tight relative 2-design in H(2m,2) from a Hadamard matrix of order m+1.
-
-    The shell X_2 part takes one word per coordinate pair {2i-1, 2i}; the
-    shell X_m part encodes each normalized row by setting pair i to (1,0)
-    for +1 and (0,1) for -1.  Weights are 1 on X_2 and 8/(n+2) on X_m.
-    """
-    m = matrix.order - 1
-    if m % 4 != 3:
-        raise BadOrder(f"order {matrix.order} = m+1 needs m = 3 (mod 4)")
-    h = matrix.normalized()
-    n = 2 * m
-    points = [BinaryWord.from_support(n, (2 * i - 1, 2 * i)) for i in range(1, m + 1)]
-    for row in h.rows:
-        support = []
-        for i in range(1, m + 1):
-            support.append(2 * i - 1 if row[i] > 0 else 2 * i)
-        points.append(BinaryWord.from_support(n, support))
-    weights = [Fraction(1)] * m + [Fraction(8, n + 2)] * (m + 1)
-    return WeightedDesign(n, tuple(points), tuple(weights))
-
-
-# ---------------------------------------------------------------------------
 # symmetric 2-designs
 
 
@@ -289,6 +198,23 @@ def paley_design(q: int) -> SymmetricDesign:
     return SymmetricDesign(q, (q - 1) // 2, (q - 3) // 4, blocks)
 
 
+def sylvester_hadamard(k: int) -> SymmetricDesign:
+    """The 2-(2^k-1, 2^(k-1)-1, 2^(k-2)-1) design of points and hyperplanes of PG(k-1, 2).
+
+    Points and blocks are the nonzero x and a of GF(2)^k, and x lies in
+    block a iff popcount(a & x) is even; bordered with +1, its +-1
+    incidence matrix is Sylvester's Hadamard matrix of order 2^k.
+    """
+    if k < 2:
+        raise BadOrder(f"Sylvester's Hadamard 2-design needs k >= 2, got k = {k}")
+    v = 2**k - 1
+    blocks = tuple(
+        frozenset(x - 1 for x in range(1, v + 1) if (a & x).bit_count() % 2 == 0)
+        for a in range(1, v + 1)
+    )
+    return SymmetricDesign(v, (v - 1) // 2, (v - 3) // 4, blocks)
+
+
 def complement_design(design: SymmetricDesign) -> SymmetricDesign:
     """Blockwise complement: 2-(v, v-k, v-2k+lam)."""
     if design.v - design.k < 2:
@@ -300,6 +226,30 @@ def complement_design(design: SymmetricDesign) -> SymmetricDesign:
         design.v - 2 * design.k + design.lam,
         tuple(everything - b for b in design.blocks),
     )
+
+
+def hadamard_design(design: SymmetricDesign) -> WeightedDesign:
+    """Tight relative 2-design in H(2m,2) from a Hadamard 2-(m, (m-1)/2, (m-3)/4) design.
+
+    The shell X_2 part takes one word per coordinate pair {2j-1, 2j}.  The
+    shell X_m part takes the word that sets every pair to (1,0) and, for
+    each point i, the word that sets pair j to (1,0) when i lies in block j
+    and to (0,1) otherwise: the rows of the normalized Hadamard matrix of
+    order m+1 that borders the +-1 incidence matrix with +1.  Weights are 1
+    on X_2 and 8/(n+2) on X_m.
+    """
+    m = design.v
+    if m % 4 != 3 or 2 * design.k + 1 != m:  # lam = (m-3)/4 follows from lam(v-1) = k(k-1)
+        raise BadOrder(f"2-({m},{design.k},{design.lam}) is not a Hadamard 2-design "
+                       "2-(m, (m-1)/2, (m-3)/4) with m = 3 (mod 4)")
+    n = 2 * m
+    points = [BinaryWord.from_support(n, (2 * j - 1, 2 * j)) for j in range(1, m + 1)]
+    points.append(BinaryWord.from_support(n, range(1, n, 2)))
+    for i in range(m):
+        support = (2 * j + 1 if i in block else 2 * j + 2 for j, block in enumerate(design.blocks))
+        points.append(BinaryWord.from_support(n, support))
+    weights = [Fraction(1)] * m + [Fraction(8, n + 2)] * (m + 1)
+    return WeightedDesign(n, tuple(points), tuple(weights))
 
 
 def _coordinate_map(design: SymmetricDesign, base_point: int) -> dict[int, int]:
@@ -352,10 +302,12 @@ PLANE_ORDERS = (2, 3, 4, 5)
 PALEY_ORDERS = (7, 11, 19, 23, 27, 31)
 
 
-def hadamard_of_order(order: int) -> HadamardMatrix:
+def hadamard_of_order(order: int) -> SymmetricDesign:
+    """The Hadamard 2-design whose bordered incidence matrix has this order:
+    Sylvester's when it is a power of two, else Paley's on GF(order - 1)."""
     if order & (order - 1) == 0:
         return sylvester_hadamard(order.bit_length() - 1)
-    return paley_hadamard(order - 1)
+    return paley_design(order - 1)
 
 
 def _base_designs():

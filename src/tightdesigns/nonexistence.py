@@ -175,16 +175,17 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
 
 
 def _shell_parameters(row: ParameterRow, shell: int, solutions):
-    lam = point_lambdas(row)
-    if not isinstance(lam, PointLambdas):
-        raise ValueError("csp_search needs integral point lambdas")
     if shell == 1:
-        return row.n1, row.r1, row.r1 - row.alpha1 // 2, lam.first, \
-            sorted({s.contain1 for s in solutions})
-    if shell == 2:
-        return row.n2, row.r2, row.r2 - row.alpha2 // 2, lam.second, \
-            sorted({s.contain2 for s in solutions})
-    raise ValueError(f"shell must be 1 or 2, got {shell}")
+        n_blocks, size, alpha, domain = row.n1, row.r1, row.alpha1, {s.contain1 for s in solutions}
+    elif shell == 2:
+        n_blocks, size, alpha, domain = row.n2, row.r2, row.alpha2, {s.contain2 for s in solutions}
+    else:
+        raise ValueError(f"shell must be 1 or 2, got {shell}")
+    # the degree is lambda^(i)_1 = N_i r_i / n, by double counting coordinate incidences
+    degree, rest = divmod(n_blocks * size, row.n)
+    if rest:
+        raise ValueError("csp_search needs integral point lambdas")
+    return n_blocks, size, size - alpha // 2, degree, sorted(domain)
 
 
 def check_shell_config(row: ParameterRow, shell: int, solutions, blocks) -> bool:
@@ -234,7 +235,11 @@ def csp_search(row: ParameterRow, shell: int, solutions, budget: int = DEFAULT_B
             raise RuntimeError(f"{where}: search witness fails re-validation")
         return Verdict("found", detail=f"{where}: witness after {nodes} nodes",
                        witness={"kind": "shell_config", "shell": shell, "blocks": blocks})
-    return Verdict("undecided", detail=f"{where}: node budget {budget} exhausted")
+    detail = f"{where}: node budget {budget} exhausted"
+    space = binomial(n_blocks, degree)  # C(N, degree) = C(N, N - degree) under complement
+    if space > budget:
+        detail += f" before the first node: {space} patterns"
+    return Verdict("undecided", detail=detail)
 
 
 def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
@@ -253,12 +258,11 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
                         & set(range(n_blocks - degree + 1)))
         size, meet, degree = n - size, n - 2 * size + meet, n_blocks - degree
     if degree * n != n_blocks * size or meet < 0 or not 0 <= degree <= n_blocks:
-        return "refuted", None, 0
-    # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2
+        raise RuntimeError(f"inconsistent shell problem: {n_blocks} blocks of size {size} "
+                           f"on {n} points, degree {degree}, pairwise meets {meet}")
+    # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2;
+    # on feasible rows meet = 0 only when degree = 1, where patterns cover no index pair
     domain = sorted(set(domain) & set(range(degree + 1)))
-    if degree >= 2 and meet == 0:
-        # every point would cover some index pair, but no pair may be covered
-        return "refuted", None, 0
     if binomial(n_blocks, degree) > budget:
         # the budget bounds setup too: never build more patterns than it allows nodes
         return "undecided", None, 0

@@ -185,8 +185,9 @@ def run_module(*argv, optimize):
 
 def test_budget_bounds_search_setup():
     # shell 2 of row 56(2) has C(49, 21) ~ 3.9e13 incidence patterns: a one-node
-    # budget must stop the search before it builds them; the memory cap and the
-    # timeout make a search that does build them fail fast
+    # budget must stop the search before it builds them, and the reason must give
+    # their number; the memory cap and the timeout make a search that does build
+    # them fail fast
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -195,7 +196,8 @@ def test_budget_bounds_search_setup():
     assert (result.returncode, result.stderr) == (3, "")
     assert result.stdout.splitlines() == [
         "56(2) r1=7 r2=24 N1=8 N2=49 w=1/2: UNDECIDED [shell 2 (49 blocks of size 24, "
-        "pairwise meets 10): node budget 1 exhausted]"]
+        "pairwise meets 10): node budget 1 exhausted before the first node: "
+        "39049918716424 patterns]"]
 
 
 def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):

@@ -8,16 +8,15 @@ from tightdesigns.constructions import (
     BadOrder,
     DegenerateDesign,
     HalfSizeBlock,
-    HadamardMatrix,
     SymmetricDesign,
     UnsupportedOrder,
     complement_design,
     from_symmetric_complemented,
     from_symmetric_residual,
     hadamard_design,
+    hadamard_of_order,
     known_designs,
     paley_design,
-    paley_hadamard,
     projective_plane,
     sylvester_hadamard,
 )
@@ -40,31 +39,9 @@ def shell_summary(design):
 
 
 def test_sylvester_orders():
-    assert sylvester_hadamard(0).rows == ((1,),)
-    assert sylvester_hadamard(2).order == 4
-    assert sylvester_hadamard(3).order == 8  # H H^T = 8 I holds by construction checks
-
-
-def test_hadamard_validation_rejects_bad_matrix():
-    with pytest.raises(ValueError):
-        HadamardMatrix(((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        HadamardMatrix(((1, 0), (0, 1)))
-
-
-def test_paley_hadamard():
-    assert paley_hadamard(3).order == 4
-    assert paley_hadamard(11).order == 12
-    with pytest.raises(BadModulus):
-        paley_hadamard(5)
-    with pytest.raises(BadModulus):
-        paley_hadamard(15)
-
-
-def test_normalized():
-    h = paley_hadamard(7).normalized()
-    assert all(x == 1 for x in h.rows[0])
-    assert all(row[0] == 1 for row in h.rows)
+    # SymmetricDesign validates all invariants on build
+    parameters = [(d.v, d.k, d.lam) for d in map(sylvester_hadamard, range(2, 6))]
+    assert parameters == [(3, 1, 0), (7, 3, 1), (15, 7, 3), (31, 15, 7)]
 
 
 @pytest.mark.parametrize(
@@ -73,13 +50,11 @@ def test_normalized():
         (3, Fraction(1), (2, 3, 3, 4)),
         (7, Fraction(1, 2), (2, 7, 7, 8)),
         (11, Fraction(1, 3), (2, 11, 11, 12)),
+        (15, Fraction(1, 4), (2, 15, 15, 16)),
     ],
 )
 def test_hadamard_design_parameters(m, ratio, expected):
-    order = m + 1
-    matrix = sylvester_hadamard(order.bit_length() - 1) if order & (order - 1) == 0 \
-        else paley_hadamard(m)
-    design = hadamard_design(matrix)
+    design = hadamard_design(hadamard_of_order(m + 1))
     r1, r2, n1, n2, w = shell_summary(design)
     assert (r1, r2, n1, n2) == expected
     assert w == ratio == Fraction(8, design.n + 2)
@@ -90,6 +65,10 @@ def test_hadamard_design_parameters(m, ratio, expected):
 def test_hadamard_design_bad_order():
     with pytest.raises(BadOrder):
         hadamard_design(sylvester_hadamard(1))  # order 2, m = 1
+    with pytest.raises(BadOrder):
+        hadamard_design(projective_plane(3))  # 2-(13,4,1) is not a Hadamard 2-design
+    with pytest.raises(BadOrder):
+        hadamard_design(complement_design(paley_design(7)))  # 2-(7,4,2): m = 7, k != 3
 
 
 @pytest.mark.parametrize("q, v, k, lam", [(2, 7, 3, 1), (3, 13, 4, 1), (4, 21, 5, 1), (5, 31, 6, 1)])

@@ -86,7 +86,7 @@ def test_complement_involution_and_parameters():
 
 
 def test_complement_22_parameters():
-    design = constructions.hadamard_design(constructions.paley_hadamard(11))
+    design = constructions.hadamard_design(constructions.hadamard_of_order(12))
     image = complement(design)
     (r1, n1, w1), (r2, n2, w2) = shells_of(image).shells
     assert (r1, r2, n1, n2, w2 / w1) == (11, 20, 12, 11, Fraction(3))

@@ -102,6 +102,23 @@ def test_radii_stay_two_from_the_ends():
         assert 2 <= r.r1 < r.r2 <= r.n - 2, (r.n, r.r1, r.r2)
 
 
+def test_shell_degrees_double_count_and_meet_zero_iff_degree_one():
+    # the search takes lambda^(i)_1 = N_i r_i / n as each coordinate's block
+    # degree and, after complementing blocks over half the coordinates, relies
+    # on meet = 0 exactly when the degree is 1
+    for r in ALL_ROWS:
+        n = r.n
+        first = Fraction((r.r2 - 1) * r.lambda1 - (n - 1) * r.lambda2, r.r2 - r.r1)
+        second = ((n - 1) * r.lambda2 - (r.r1 - 1) * r.lambda1) / ((r.r2 - r.r1) * r.w)
+        for lam, blocks, size, alpha in ((first, r.n1, r.r1, r.alpha1),
+                                         (second, r.n2, r.r2, r.alpha2)):
+            assert n * lam == blocks * size, (r.key, lam)
+            meet = size - alpha // 2
+            if 2 * size > n:
+                size, meet, lam = n - size, n - 2 * size + meet, blocks - lam
+            assert meet >= 0 and (meet == 0) == (lam == 1), (r.key, size, meet, lam)
+
+
 def test_unit_weight_rows_have_integer_lambdas():
     for r in ALL_ROWS:
         if r.w == 1:
