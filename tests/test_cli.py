@@ -149,6 +149,26 @@ def test_decide_output_is_stable(capsys):
     assert first == second
 
 
+# sha256 over the exit code and stdout of each `decide ... --format json` below:
+# every row of 6..29; the witness of 30(10) after 525,770 nodes; 30(10) again at a
+# budget that stops its first shell in mid-search; budget stops before the first
+# node (33, 35, 40, 44), 35(1) and 35(2) exhausted after 220 nodes, 40 after 0
+# nodes, 44(3) and 44(5) after 870 nodes
+SEARCH_SHA256 = "44f86a5ab0d92ab279890913934a21da783ec6da98a143564103741ddc8b1f34"
+SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 30)]
+                + [["--n", "30", "--row-index", "10"],
+                   ["--n", "30", "--row-index", "10", "--budget", "10000"]]
+                + [["--n", str(n), "--budget", "50000"] for n in (33, 35, 40, 44)])
+
+
+def test_decide_search_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in SEARCH_ARGVS:
+        code, out, _ = run_cli(capsys, "decide", *argv, "--format", "json")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
