@@ -103,22 +103,13 @@ class _Field:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        m = self.modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(self.k + 1):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * m[j]) % self.p
-        return tuple(prod[: self.k])
+        return self._poly_mod(prod, self.modulus)
 
     def nonzero_squares(self) -> set:
         return {self.mul(x, x) for x in self.elements if x != self.zero}

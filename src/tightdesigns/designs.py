@@ -19,7 +19,7 @@ class WrongShellCount(ValueError):
     """An operation needing exactly two shells got something else."""
 
 
-_WEIGHT_RE = re.compile(r"-?\d+(/\d+)?$")
+_WEIGHT_RE = re.compile(r"-?\d+(/\d+)?")
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def load(data) -> WeightedDesign:
             seen.add(p)
     weights = []
     for idx, text in enumerate(weights_raw):
-        if not isinstance(text, str) or not _WEIGHT_RE.match(text):
+        if not isinstance(text, str) or not _WEIGHT_RE.fullmatch(text):
             raise MalformedFile(f"weights[{idx}]: not a 'p/q' string: {text!r}")
         try:
             w = Fraction(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from array import array
 from itertools import combinations
 from typing import Optional, Union
 
@@ -246,29 +247,35 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     """Core search over multisets of incidence patterns.
 
     A configuration is equivalent to a multiset of n patterns (each a
-    degree-subset of the block indices) where every block index lies in
-    exactly `size` patterns, every index pair in exactly `meet`, and any
-    two member patterns intersect in a value from `domain` (a point pair's
-    containment count is exactly that intersection).
+    degree-subset of the block indices) where any two member patterns
+    intersect in a value from `domain` (a point pair's containment count is
+    exactly that intersection) and every cover item is covered exactly to its
+    capacity: each of the C(N,2) index pairs by `meet` patterns, then each of
+    the N blocks by `size` patterns.
+
+    Counting incidences gives meet (N-1) = size (degree-1), and the block
+    complement keeps it, so the pairs through a block always hold degree-1
+    times that block's capacity.  Hence every item is full exactly when all
+    n points are placed, and until then some index pair is open (a block
+    when degree = 1, where meet = 0): the first open item is the target.
     """
     # blocks over half the ground set: complement them, a bijection on configurations
     complemented = 2 * size > n
     if complemented:
-        domain = sorted({n_blocks - 2 * degree + t for t in domain}
-                        & set(range(n_blocks - degree + 1)))
+        domain = {n_blocks - 2 * degree + t for t in domain}
         size, meet, degree = n - size, n - 2 * size + meet, n_blocks - degree
-    if degree * n != n_blocks * size or meet < 0 or not 0 <= degree <= n_blocks:
+    if (degree * n != n_blocks * size or meet * (n_blocks - 1) != size * (degree - 1)
+            or meet < 0 or not 0 <= degree <= n_blocks):
         raise RuntimeError(f"inconsistent shell problem: {n_blocks} blocks of size {size} "
                            f"on {n} points, degree {degree}, pairwise meets {meet}")
-    # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2;
-    # on feasible rows meet = 0 only when degree = 1, where patterns cover no index pair
-    domain = sorted(set(domain) & set(range(degree + 1)))
+    # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2
     if binomial(n_blocks, degree) > budget:
         # the budget bounds setup too: never build more patterns than it allows nodes
         return "undecided", None, 0
 
     patterns = list(combinations(range(n_blocks), degree))
     masks = [sum(1 << i for i in p) for p in patterns]
+    # values outside [0, degree] are never an intersection size, so they change nothing
     domain_set = set(domain)
     everything = (1 << len(patterns)) - 1
     # the domain excludes no realizable intersection value iff it is "full"
@@ -288,106 +295,71 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
                     row |= 1 << b
             compat_rows[a] = row
         return row
+
+    # cover items: the index pairs first, then the blocks
+    pairs = list(combinations(range(n_blocks), 2))
+    pair_of = {pair: t for t, pair in enumerate(pairs)}
     block_patterns = [0] * n_blocks
     for j, p in enumerate(patterns):
         for i in p:
             block_patterns[i] |= 1 << j
-    index_pairs = list(combinations(range(n_blocks), 2)) if degree >= 2 else []
-    pair_of = {pair: t for t, pair in enumerate(index_pairs)}
-    pair_patterns = [block_patterns[i] & block_patterns[j] for (i, j) in index_pairs]
-    pattern_pairs = [[pair_of[q] for q in combinations(p, 2)] for p in patterns]
-
-    block_cap = [size] * n_blocks
-    pair_cap = [meet] * len(index_pairs)
+    item_patterns = [block_patterns[a] & block_patterns[b] for a, b in pairs] + block_patterns
+    cap = [meet] * len(pairs) + [size] * n_blocks
+    # the items each pattern covers; arrays, since C(N, degree) lists would take far more memory
+    covers = [array("I", [pair_of[q] for q in combinations(p, 2)] + [len(pairs) + i for i in p])
+              for p in patterns]
     chosen: dict[int, int] = {}
     nodes = 0
 
-    def place(j, m):
-        for i in patterns[j]:
-            block_cap[i] -= m
-        for t in pattern_pairs[j]:
-            pair_cap[t] -= m
-        chosen[j] = chosen.get(j, 0) + m
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Budget
 
-    def unplace(j, m):
-        for i in patterns[j]:
-            block_cap[i] += m
-        for t in pattern_pairs[j]:
-            pair_cap[t] += m
-        chosen[j] -= m
+    def place(j, m):
+        for t in covers[j]:
+            cap[t] -= m
+        chosen[j] = chosen.get(j, 0) + m
         if not chosen[j]:
             del chosen[j]
 
-    def max_mult(j):
-        m = min(block_cap[i] for i in patterns[j])
-        for t in pattern_pairs[j]:
-            if pair_cap[t] < m:
-                m = pair_cap[t]
-        return m
-
     def search(remaining, usable):
-        nonlocal nodes
-        if remaining == 0:
-            if all(c == 0 for c in block_cap) and all(c == 0 for c in pair_cap):
-                return dict(chosen)
-            return None
-        # target item: the first open index pair (blocks when degree == 1)
-        target_cands = 0
-        target_cap = 0
-        for t in range(len(index_pairs)):
-            cap = pair_cap[t]
-            if cap == 0:
-                continue
-            if cap > remaining:
-                return None
-            cands = usable & pair_patterns[t]
-            if cands == 0:
-                return None
-            if not target_cands:
-                target_cands, target_cap = cands, cap
-        for i in range(n_blocks):
-            cap = block_cap[i]
-            if cap and (cap > remaining or (usable & block_patterns[i]) == 0):
-                return None
-        if not target_cands:
-            if degree >= 2:
-                return None  # all pairs full forces all blocks full, yet remaining > 0
-            i = next(i for i in range(n_blocks) if block_cap[i] > 0)
-            target_cands, target_cap = usable & block_patterns[i], block_cap[i]
+        need = 0
+        for t, c in enumerate(cap):
+            if c:
+                cands = usable & item_patterns[t]
+                if c > remaining or not cands:
+                    return None
+                if not need:
+                    need, target = c, cands
+        if not need:  # every item is full: all n points are placed
+            return dict(chosen)
+        return fill(target, need, remaining, usable)
 
-        def fill(cands, need, remaining, usable):
-            nonlocal nodes
-            if need == 0:
-                return search(remaining, usable)
-            while cands:
-                j = (cands & -cands).bit_length() - 1
-                cands &= ~(1 << j)  # candidates are consumed in index order
-                top = min(need, max_mult(j), remaining)
-                for m in range(1, top + 1):
-                    nodes += 1
-                    if nodes > budget:
-                        raise _Budget
-                    place(j, m)
-                    allowed = compat(j)
-                    result = fill(cands & allowed, need - m, remaining - m,
-                                  usable & allowed)
-                    unplace(j, m)
-                    if result is not None:
-                        return result
-                nodes += 1
-                if nodes > budget:
-                    raise _Budget
-            return None
-
-        return fill(target_cands, target_cap, remaining, usable)
+    def fill(cands, need, remaining, usable):
+        if need == 0:
+            return search(remaining, usable)
+        while cands:
+            j = (cands & -cands).bit_length() - 1
+            cands &= ~(1 << j)  # candidates are consumed in index order
+            top = min(need, remaining, min(map(cap.__getitem__, covers[j])))
+            for m in range(1, top + 1):
+                tick()
+                place(j, m)
+                allowed = compat(j)
+                result = fill(cands & allowed, need - m, remaining - m, usable & allowed)
+                place(j, -m)
+                if result is not None:
+                    return result
+            tick()
+        return None
 
     try:
-        # symmetry break: some point may be relabeled onto the first pattern
-        if max_mult(0) < 1:
-            result = None
-        else:
-            place(0, 1)
-            result = search(n - 1, everything & compat(0))
+        # symmetry break: some point may be relabeled onto the first pattern; it
+        # fits, as its blocks start at size >= 1 and its pairs (degree >= 2) at meet >= 1
+        place(0, 1)
+        result = search(n - 1, compat(0))
     except _Budget:
         return "undecided", None, nodes
     if result is None:

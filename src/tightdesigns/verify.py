@@ -20,7 +20,6 @@ from .hamming import (
     binomial,
     gram_closed_form,
     krawtchouk,
-    shell_intersection,
 )
 
 
@@ -88,7 +87,9 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
 
     where the right side depends only on j.  Checking all such u is exactly
     the relative t-design condition, since these functions span the degree-j
-    eigenspace.
+    eigenspace.  The inner nu sum is Q_r(j) Q_j(j) in closed form: it equals
+    sum_{x in X_r} Q_j(d(u,x)) = sum_{|v|=j} (-1)^{v.u} sum_{x in X_r} (-1)^{v.x},
+    and the last sum is Q_r(|v|).
     """
     n = design.n
     if not 0 <= t <= n:
@@ -102,8 +103,7 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
         q = [krawtchouk(n, j, nu) for nu in range(n + 1)]
         rhs = Fraction(0)
         for r, W in totals.items():
-            acc = sum(shell_intersection(n, j, r, nu) * q[nu] for nu in range(n + 1))
-            rhs += W * Fraction(acc, binomial(n, r))
+            rhs += W * Fraction(krawtchouk(n, r, j) * q[j], binomial(n, r))
         for u in _words_of_weight(n, j):
             lhs = sum(
                 w * sum(q[(u.bits ^ y).bit_count()] for y in ys) for w, ys in groups.items()

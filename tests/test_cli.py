@@ -332,9 +332,10 @@ def bad_input(tmp_path, case):
         latin = tmp_path / "latin.json"
         latin.write_bytes(b'{"n": 2, "points": ["10"], "weights": ["1"], "note": "\xe9"}')
         return ["verify", "--design", str(latin)]
-    if case in ("zero denominator", "boolean n"):
+    if case in ("zero denominator", "boolean n", "newline after weight"):
         bad = tmp_path / "bad.json"
-        n, weight = ("true", "1") if case == "boolean n" else ("1", "1/0")
+        n, weight = {"zero denominator": ("1", "1/0"), "boolean n": ("true", "1"),
+                     "newline after weight": ("1", "1\\n")}[case]
         bad.write_text(f'{{"n": {n}, "points": ["1"], "weights": ["{weight}"]}}')
         # t = 0 is in range for n = 1, so only the loader can reject the file
         return ["verify", "--design", str(bad), "--t", "0"]
@@ -344,7 +345,8 @@ def bad_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["t above n", "negative t", "not utf-8", "zero denominator",
-                                  "boolean n", "empty n range", "missing output directory"])
+                                  "boolean n", "newline after weight", "empty n range",
+                                  "missing output directory"])
 def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *bad_input(tmp_path, case))
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -104,8 +104,9 @@ def test_radii_stay_two_from_the_ends():
 
 def test_shell_degrees_double_count_and_meet_zero_iff_degree_one():
     # the search takes lambda^(i)_1 = N_i r_i / n as each coordinate's block
-    # degree and, after complementing blocks over half the coordinates, relies
-    # on meet = 0 exactly when the degree is 1
+    # degree and relies on meet (N-1) = size (degree-1), with and without the
+    # block complement, and, after complementing blocks over half the
+    # coordinates, on meet = 0 exactly when the degree is 1
     for r in ALL_ROWS:
         n = r.n
         first = Fraction((r.r2 - 1) * r.lambda1 - (n - 1) * r.lambda2, r.r2 - r.r1)
@@ -114,8 +115,11 @@ def test_shell_degrees_double_count_and_meet_zero_iff_degree_one():
                                          (second, r.n2, r.r2, r.alpha2)):
             assert n * lam == blocks * size, (r.key, lam)
             meet = size - alpha // 2
+            complement = (n - size, n - 2 * size + meet, blocks - lam)
+            for s, m, d in ((size, meet, lam), complement):
+                assert m * (blocks - 1) == s * (d - 1), (r.key, s, m, d)
             if 2 * size > n:
-                size, meet, lam = n - size, n - 2 * size + meet, blocks - lam
+                size, meet, lam = complement
             assert meet >= 0 and (meet == 0) == (lam == 1), (r.key, size, meet, lam)
 
 

@@ -101,6 +101,15 @@ def test_shell_intersection_row_sums(n):
             assert sum(shell_intersection(n, j, r, nu) for nu in range(n + 1)) == binomial(n, r)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_shell_intersection_moments_closed_form(n):
+    # sum over X_r of Q_j(d(u, x)) for |u| = j, the right side moments_check uses
+    for j in range(n + 1):
+        for r in range(n + 1):
+            assert (sum(shell_intersection(n, j, r, nu) * krawtchouk(n, j, nu)
+                        for nu in range(n + 1)) == krawtchouk(n, r, j) * krawtchouk(n, j, j))
+
+
 def brute_gram(n, r1, r2, W1, W2):
     """Direct weighted shell summation of the eigenfunction inner products."""
     e1 = BinaryWord.from_support(n, (1,))

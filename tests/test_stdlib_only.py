@@ -22,3 +22,10 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{source.name} imports {name}"
                 seen.add(top)
     assert {"fractions", "itertools"} <= seen
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants are checked with if/raise
+    for source in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), f"{source.name}:{node.lineno} has an assert"
