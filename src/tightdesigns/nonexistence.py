@@ -19,9 +19,9 @@ from array import array
 from itertools import combinations
 from typing import Optional, Union
 
-from . import constructions, verify
+from . import catalog, verify
 # relation_profile is not called here; the benchmark's tracer counts it under this name
-from .designs import WeightedDesign, relation_profile, save, shells_of  # noqa: F401
+from .designs import WeightedDesign, relation_profile, save  # noqa: F401
 from .feasibility import ParameterRow, row_to_dict
 from .hamming import binomial
 
@@ -384,31 +384,10 @@ class _Budget(Exception):
 # registry of constructed designs and the decision pipeline
 
 
-def _design_row_key(design: WeightedDesign):
-    profile = shells_of(design)
-    if profile.p != 2:
-        return None
-    (r1, count1, w1), (r2, count2, w2) = profile.shells
-    if w1 is None or w2 is None:
-        return None
-    return (design.n, r1, r2, count1, count2, w2 / w1)
-
-
 @lru_cache(maxsize=1)
-def construction_registry() -> dict:
-    """Map from parameter-row keys to (label, design with first-shell weight 1)."""
-    registry: dict = {}
-    from .designs import scale_weights
-
-    for label, design in constructions.known_designs():
-        key = _design_row_key(design)
-        if key is None or key in registry:
-            continue
-        first_shell_weight = shells_of(design).shells[0][2]
-        if first_shell_weight != 1:
-            design = scale_weights(design, 1 / first_shell_weight)
-        registry[key] = (label, design)
-    return registry
+def construction_registry() -> catalog.Registry:
+    """catalog.registry(), built once per process."""
+    return catalog.registry()
 
 
 _VERIFIED_KEYS: set = set()
@@ -435,7 +414,8 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     and returned as a found design.  Otherwise the pipeline runs point
     lambdas, the pair lambda system (empty means refuted), the counting
     filters, and the configuration search on the shell with fewer blocks,
-    falling back to the other shell only when the first is undecided.
+    falling back to the other shell only when the first is undecided; when
+    both are, the reason gives both searches.
     """
     hit = construction_registry().get(row.key)
     if hit is not None:
@@ -463,4 +443,7 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     verdict = csp_search(row, first, solutions, budget)
     if not verdict.undecided:
         return verdict
-    return csp_search(row, 3 - first, solutions, budget)
+    other = csp_search(row, 3 - first, solutions, budget)
+    if not other.undecided:
+        return other
+    return Verdict("undecided", detail=f"{verdict.detail}; {other.detail}")

@@ -28,6 +28,11 @@ from tightdesigns.nonexistence import construction_registry, decide
 
 GOLDEN = Path(__file__).parent / "data" / "parameter_table.csv"
 
+# the rows whose designs the catalog builds on first lookup, from 2-(15,7,3),
+# 2-(16,6,2), 2-(25,9,3) and 2-(31,10,3)
+GENERATED_ROWS = {(14, 2), (14, 3), (15, 1), (15, 2), (15, 3), (15, 4), (24, 1), (24, 2),
+                  (24, 3), (24, 4), (30, 10), (30, 11), (30, 14), (30, 23)}
+
 REFERENCE_BY_KEY = {
     (n, r1, r2, n1, n2, w): (index, l1, l2, exists)
     for (n, index, r1, r2, n1, n2, _a1, _a2, _g, w, l1, l2, exists) in REFERENCE_ROWS
@@ -128,7 +133,7 @@ def test_criterion_3_nonexistence_reproduction():
         if exists:
             if verdict.refuted:
                 failures.append(f"{label}: classified-existing row was refuted")
-            if row.key in registry and not (
+            if (row.key in registry or (row.n, index) in GENERATED_ROWS) and not (
                 verdict.found and verdict.witness["kind"] == "design"
             ):
                 failures.append(f"{label}: catalog row did not return its design")

@@ -129,16 +129,17 @@ def test_decide_row_index_out_of_range(capsys):
 
 
 def test_decide_budget_flag_and_env(capsys, monkeypatch):
-    # row 24(1) is outside the construction catalog, so it needs the search;
-    # one node is never enough and the exit code must signal the exhaustion
-    code, out, _ = run_cli(capsys, "decide", "--n", "24", "--row-index", "1",
+    # row 21(3) is outside the construction catalog, so it needs the search,
+    # which finds a witness after 20 nodes; one node is never enough and the
+    # exit code must signal the exhaustion
+    code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3",
                            "--budget", "1")
     assert code == 3 and "UNDECIDED" in out
     monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", "1")
-    code, out, _ = run_cli(capsys, "decide", "--n", "24", "--row-index", "1")
+    code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3")
     assert code == 3
     monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", "1000000")
-    code, out, _ = run_cli(capsys, "decide", "--n", "24", "--row-index", "1",
+    code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3",
                            "--budget", "1")
     assert code == 0 and "FOUND" in out  # the environment overrides the flag
 
@@ -149,14 +150,15 @@ def test_decide_output_is_stable(capsys):
     assert first == second
 
 
-# the rows of 6..30 that the catalog of generated symmetric designs serves;
-# they are left out of the digest below
+# the rows of 6..30 whose designs the catalog builds on first lookup, from the
+# symmetric designs 2-(15,7,3), 2-(16,6,2), 2-(25,9,3) and 2-(31,10,3); their
+# output is pinned by CATALOG_SHA256, every other row's by SEARCH_SHA256
 CATALOG_ROWS = {14: (2, 3), 15: (1, 2, 3, 4), 24: (1, 2, 3, 4), 30: (10, 11, 14, 23)}
 # sha256 over the exit code and stdout of each `decide ... --format json` below:
 # every other row of 6..30; 34(2), whose two shells both stop in mid-search at
 # budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1) and
 # 35(2) exhausted after 220 nodes, 40 after 0 nodes, 44(3) and 44(5) after 870 nodes
-SEARCH_SHA256 = "4bd2a37504ac0ce157d4b7ef55c4fe841e593ea245b6f012c387e7b5320cce86"
+SEARCH_SHA256 = "fe924bb6e3c503ba408ab175835ef32628ca82b2b78d3f8adae73cf55c6f512f"
 SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 31) if n not in CATALOG_ROWS]
                 + [["--n", str(n), "--row-index", str(i)] for n, rows in ((14, 4), (30, 26))
                    for i in range(1, rows + 1) if i not in CATALOG_ROWS[n]]
@@ -164,12 +166,27 @@ SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 31) if n not in CATALOG_ROWS]
                 + [["--n", str(n), "--budget", "50000"] for n in (33, 35, 40, 44)])
 
 
-def test_decide_search_output_is_pinned(capsys):
+# sha256 over the exit code and stdout of `decide --n N --row-index I --format
+# json` for each row of CATALOG_ROWS
+CATALOG_SHA256 = "089aa5eae1307993a5d4f18dc9c800256129a01e1bad60baba246883d7dfd7f6"
+CATALOG_ARGVS = [["--n", str(n), "--row-index", str(i)]
+                 for n, rows in CATALOG_ROWS.items() for i in rows]
+
+
+def decide_digest(capsys, argvs):
     digest = hashlib.sha256()
-    for argv in SEARCH_ARGVS:
+    for argv in argvs:
         code, out, _ = run_cli(capsys, "decide", *argv, "--format", "json")
         digest.update(f"{code}\n{out}".encode())
-    assert digest.hexdigest() == SEARCH_SHA256
+    return digest.hexdigest()
+
+
+def test_decide_search_output_is_pinned(capsys):
+    assert decide_digest(capsys, SEARCH_ARGVS) == SEARCH_SHA256
+
+
+def test_decide_catalog_output_is_pinned(capsys):
+    assert decide_digest(capsys, CATALOG_ARGVS) == CATALOG_SHA256
 
 
 def test_selftest(capsys):
@@ -190,14 +207,19 @@ def test_decide_rejects_negative_budget_flag(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def run_process(*argv, flags=(), timeout=300, **kwargs):
-    """Run the command in a fresh interpreter with the given interpreter flags."""
+def run_python(*args, timeout=300, **kwargs):
+    """Run a fresh interpreter with these arguments on the package's source."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("DESIGNS_SEARCH_BUDGET", None)
-    return subprocess.run([sys.executable, *flags, "-m", "tightdesigns.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, **kwargs)
+
+
+def run_process(*argv, flags=(), **kwargs):
+    """Run the command in a fresh interpreter with the given interpreter flags."""
+    return run_python(*flags, "-m", "tightdesigns.cli", *argv, **kwargs)
 
 
 def run_module(*argv, optimize):
@@ -209,8 +231,8 @@ def run_module(*argv, optimize):
 def test_budget_bounds_search_setup():
     # shell 2 of row 56(2) has C(49, 21) ~ 3.9e13 incidence patterns: a one-node
     # budget must stop the search before it builds them, and the reason must give
-    # their number; the memory cap and the timeout make a search that does build
-    # them fail fast
+    # their number, after the first shell's stop; the memory cap and the timeout
+    # make a search that does build them fail fast
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -218,9 +240,29 @@ def test_budget_bounds_search_setup():
                          timeout=60, preexec_fn=cap_memory)
     assert (result.returncode, result.stderr) == (3, "")
     assert result.stdout.splitlines() == [
-        "56(2) r1=7 r2=24 N1=8 N2=49 w=1/2: UNDECIDED [shell 2 (49 blocks of size 24, "
-        "pairwise meets 10): node budget 1 exhausted before the first node: "
-        "39049918716424 patterns]"]
+        "56(2) r1=7 r2=24 N1=8 N2=49 w=1/2: UNDECIDED [shell 1 (8 blocks of size 7, "
+        "pairwise meets 0): node budget 1 exhausted before the first node: 8 patterns; "
+        "shell 2 (49 blocks of size 24, pairwise meets 10): node budget 1 exhausted "
+        "before the first node: 39049918716424 patterns]"]
+
+
+def test_only_generated_rows_load_the_generator():
+    # the registry lists the rows of the generated symmetric designs without
+    # building them: enumerate and a row outside the catalog never import the
+    # generator's module, and a generated row does
+    script = "\n".join([
+        "import sys",
+        "from tightdesigns import cli",
+        "for argv in (['enumerate', '--n-min', '6', '--n-max', '60'],",
+        "             ['decide', '--n', '34', '--row-index', '1'],",
+        "             ['decide', '--n', '15', '--row-index', '1']):",
+        "    code = cli.run(argv)",
+        "    print('loaded', code, 'tightdesigns.symmetric' in sys.modules)",
+    ])
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded 0 False", "loaded 0 False", "loaded 0 True"]
 
 
 def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from tightdesigns.constructions import (
     sylvester_hadamard,
 )
 from tightdesigns.designs import relation_profile, shells_of
+from tightdesigns.symmetric import rotational_triples, symmetric_design
 
 
 def fully_verified(design) -> bool:
@@ -191,3 +193,28 @@ def test_known_designs_all_verify():
             continue
         seen.add(key)
         assert fully_verified(design), label
+
+
+@pytest.mark.parametrize("params", [(15, 7, 3), (16, 6, 2), (25, 9, 3), (31, 10, 3)])
+def test_symmetric_design_is_deterministic_and_valid(params):
+    first, second = symmetric_design(*params), symmetric_design(*params)
+    assert first.blocks == second.blocks
+    # SymmetricDesign checks every pair and every block intersection on construction
+    assert SymmetricDesign(*params, first.blocks) == first
+
+
+def test_symmetric_design_refuses_what_it_cannot_build():
+    with pytest.raises(ValueError, match="no symmetric 2-\\(22,7,2\\)"):
+        symmetric_design(22, 7, 2)  # excluded by Bruck-Ryser-Chowla: the search exhausts
+    with pytest.raises(ValueError, match="lam = 2 or 3"):
+        symmetric_design(7, 3, 1)
+    with pytest.raises(ValueError, match="lam\\(v-1\\) != k\\(k-1\\)"):
+        symmetric_design(10, 4, 2)
+
+
+def test_rotational_triples_cover_every_pair_twice():
+    blocks = rotational_triples(10)
+    assert len(blocks) == 30
+    assert {(0, 3, 6), (1, 4, 7), (2, 5, 8)} <= set(blocks)  # the short orbit
+    pairs = [pair for block in blocks for pair in combinations(block, 2)]
+    assert all(pairs.count(pair) == 2 for pair in combinations(range(10), 2))

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import pair_lambda_solutions_moment
 from reference_table import REFERENCE_ROWS
-from tightdesigns import nonexistence
+from tightdesigns import catalog, nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.nonexistence import (
@@ -202,38 +202,54 @@ def test_decide_registry_hits_are_verified_designs():
 
 
 def test_decide_is_deterministic():
-    for target in ((20, 7), (24, 1), (27, 2)):
+    for target in ((20, 7), (21, 3), (27, 2)):
         first = decide(row(*target))
         second = decide(row(*target))
         assert first == second
 
 
-def test_registry_covers_thirty_rows():
+def test_registry_covers_forty_four_rows():
     registry = construction_registry()
-    assert len(registry) == 30
+    assert len(registry) == 44
     row_keys = {r.key for r in ALL_ROWS.values()}
     assert set(registry) <= row_keys
 
 
-# sha256 of repr([(key, label, save(design)), ...]) in registry order
-REGISTRY_SHA256 = "d0ac4c7f4b4d86358660a22cae92e498c97cb3fd0c97de5b118fd8cac542961b"
+# sha256 of repr([(key, label, save(design)), ...]) in registry order, over the
+# 30 entries from known_designs and then the 14 built on first lookup
+REGISTRY_SHA256 = ("d0ac4c7f4b4d86358660a22cae92e498c97cb3fd0c97de5b118fd8cac542961b",
+                   "7f5bf79e4480b00764b1a34fb3796dab837376c4e21ea2b632182e54e4b3f175")
 
 
 def test_registry_is_pinned_and_closed_under_complement():
     registry = construction_registry()
     entries = [(key, label, save(design)) for key, (label, design) in registry.items()]
-    assert hashlib.sha256(repr(entries).encode()).hexdigest() == REGISTRY_SHA256
+    assert tuple(hashlib.sha256(repr(part).encode()).hexdigest()
+                 for part in (entries[:30], entries[30:])) == REGISTRY_SHA256
     for (n, r1, r2, n1, n2, w), (label, design) in registry.items():
         _twin_label, twin = registry[(n, n - r2, n - r1, n2, n1, 1 / w)]
         image = complement(design)
         assert scale_weights(image, 1 / shells_of(image).shells[0][2]) == twin, label
 
 
+def test_lazy_keys_are_the_keys_of_the_built_designs():
+    registry = construction_registry()
+    lazy = catalog.lazy_designs()
+    assert len(lazy) == 16  # both splits of four designs, each with its complement
+    assert len({key for _label, key, _build in lazy}) == 14  # 2-(15,7,3)'s two splits share keys
+    for label, key, build in lazy:
+        design = build()
+        assert catalog.row_key(design) == key, label
+        assert key in registry
+        if registry[key][0] == label:
+            assert registry[key][1] == design
+
+
 def test_verdict_serialization():
     refuted = decide(row(27, 1))
     obj = verdict_to_dict(row(27, 1), refuted)
     assert obj["verdict"] == "refuted" and obj["reason"]["cause"] == CAUSE_POINT_LAMBDA
-    found = decide(row(24, 2))
-    obj = verdict_to_dict(row(24, 2), found)
+    found = decide(row(21, 3))
+    obj = verdict_to_dict(row(21, 3), found)
     assert obj["verdict"] == "found" and obj["witness"]["kind"] == "shell_config"
     json.dumps(obj)  # stays JSON-serializable
