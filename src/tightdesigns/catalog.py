@@ -1,12 +1,10 @@
-"""The registry: one design for each parameter row the construction catalog
-reaches.
+"""The catalog: 22 base constructions, each listed as (label, row key, build)
+with its key computed from its parameters, and the registry of one design per
+parameter row they reach.
 
-It holds the first design of `constructions.known_designs()` on each row and
-then the splits of the symmetric designs that have no closed form in
-`constructions`: Sylvester's 2-(15,7,3), and 2-(16,6,2), 2-(25,9,3) and
-2-(31,10,3) from `symmetric.symmetric_design`.  Their row keys follow from
-(v, k), so the registry lists them without building them; a design is built
-on its first lookup, and the generator's module is imported only then.
+The registry adds each base entry's H(n,2)-complement twin and builds a
+design on its first lookup, a twin by complementing its base entry's design;
+the generator's module `symmetric` is imported only then.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import constructions
-from .designs import WeightedDesign, complement as design_complement, scale_weights, shells_of
+from .designs import WeightedDesign, complement, scale_weights, shells_of
 
 
 def _generated(v: int, k: int, lam: int) -> constructions.SymmetricDesign:
@@ -25,9 +23,14 @@ def _generated(v: int, k: int, lam: int) -> constructions.SymmetricDesign:
     return symmetric_design(v, k, lam)
 
 
-# the symmetric designs whose splits rows of 6..30 need beyond the closed
-# forms of `constructions`, each with the function that builds it
-LAZY_SYMMETRIC = (
+# (name, v, k, build) of the symmetric designs the catalog splits, all with
+# k < v/2.  The splits of 2-(7,3,1), the plane of order 2 and paley[7], are
+# left out: they land on the rows of hadamard[m=3] and its twin.
+SYMMETRIC = (
+    *((f"plane[{q}]", q * q + q + 1, q + 1, partial(constructions.projective_plane, q))
+      for q in (3, 4, 5)),
+    *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
+      for q in (11, 19, 23, 27, 31)),
     ("sylvester[4]", 15, 7, partial(constructions.sylvester_hadamard, 4)),
     ("symmetric[16,6,2]", 16, 6, partial(_generated, 16, 6, 2)),
     ("symmetric[25,9,3]", 25, 9, partial(_generated, 25, 9, 3)),
@@ -35,29 +38,27 @@ LAZY_SYMMETRIC = (
 )
 
 
-def lazy_designs() -> list[tuple[str, tuple, partial]]:
-    """(label, row key, build) of the registry entries built on first lookup.
-
-    Both splits of each design in LAZY_SYMMETRIC, each followed by its
-    H(n,2)-complement, as in constructions.known_designs.  A key follows
-    from (v, k) alone: every weight is 1, the residual split has k points on
-    shell k-1 and v-k on shell k, and the complemented split moves the
-    first k to shell v-k.
-    """
+def entries() -> list[tuple[str, tuple, partial]]:
+    """The base entries in registry order: the Hadamard pairings (m points of
+    weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m), then the splits
+    of each design in SYMMETRIC, of weight 1 (the residual split has k points
+    on shell k-1 and v-k on shell k; the complemented split moves the k to
+    shell v-k)."""
     out = []
-    for name, v, k, source in LAZY_SYMMETRIC:
-        source = lru_cache(maxsize=1)(source)  # one build serves every split
+    for m in (3, 7, 11, 15):
+        n = 2 * m
+        build = partial(_compose, constructions.hadamard_design,
+                        partial(constructions.hadamard_of_order, m + 1))
+        out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)), build))
+    for name, v, k, source in SYMMETRIC:
+        source = lru_cache(maxsize=1)(source)  # one build serves both splits
         n = v - 1
-        splits = [("residual", constructions.from_symmetric_residual, {k - 1: k, k: v - k})]
-        if 2 * k != v:
-            splits.append(("complemented", constructions.from_symmetric_complemented,
-                           {v - k: k, k: v - k}))
-        for variant, split, shells in splits:
-            build = partial(_compose, split, source)
-            out.append((f"{variant}({name})", _unit_weight_key(n, shells), build))
-            out.append((f"complement({variant}({name}))",
-                        _unit_weight_key(n, {n - r: c for r, c in shells.items()}),
-                        partial(_compose, design_complement, build)))
+        out.append((f"residual({name})", (n, k - 1, k, k, v - k, Fraction(1)),
+                    partial(_compose, constructions.from_symmetric_residual, source)))
+        # at v = 2k + 1 its row is the residual split's twin, which the registry adds
+        if 2 * k + 1 != v:
+            out.append((f"complemented({name})", (n, k, v - k, v - k, k, Fraction(1)),
+                        partial(_compose, constructions.from_symmetric_complemented, source)))
     return out
 
 
@@ -65,9 +66,10 @@ def _compose(outer, inner):
     return outer(inner())
 
 
-def _unit_weight_key(n: int, shells: dict) -> tuple:
-    (r1, count1), (r2, count2) = sorted(shells.items())
-    return (n, r1, r2, count1, count2, Fraction(1))
+def twin_key(key: tuple) -> tuple:
+    """The row of the H(n,2)-complements of the designs on row `key`."""
+    n, r1, r2, count1, count2, w = key
+    return (n, n - r2, n - r1, count2, count1, 1 / w)
 
 
 def row_key(design: WeightedDesign):
@@ -83,47 +85,46 @@ def row_key(design: WeightedDesign):
 
 
 def registry() -> Registry:
-    """Map from row keys to (label, design with first-shell weight 1).
-
-    The first design of constructions.known_designs() on each row, then the
-    entries of lazy_designs() on rows still open, built on first lookup.
-    """
-    entries: dict = {}
-    for label, design in constructions.known_designs():
-        key = row_key(design)
-        if key is None or key in entries:
-            continue
-        first_shell_weight = shells_of(design).shells[0][2]
-        if first_shell_weight != 1:
-            design = scale_weights(design, 1 / first_shell_weight)
-        entries[key] = (label, design)
-    for label, key, build in lazy_designs():
-        entries.setdefault(key, (label, build))
-    return Registry(entries)
+    """The registry of entries(), with nothing built."""
+    return Registry(entries())
 
 
 class Registry(Mapping):
-    """Row key -> (label, design).  An entry listed with a build function in
-    place of its design is built on its first lookup, checked to land on its
-    row, and kept; membership, length and iteration build nothing."""
+    """Row key -> (label, design with first-shell weight 1).
 
-    def __init__(self, entries: dict):
-        self._entries = entries
+    Each base entry is followed by its H(n,2)-complement twin, labeled
+    complement(label).  A design is built on its first lookup, checked to
+    land on its row, rescaled and kept; membership, length and iteration
+    build nothing.
+    """
+
+    def __init__(self, base_entries):
+        # key -> (label, design), or (label, build) and for a twin (label, base
+        # entry's key) until the first lookup
+        self._rows: dict = {}
+        for label, key, build in base_entries:
+            self._rows[key] = (label, build)
+            self._rows[twin_key(key)] = (f"complement({label})", key)
+        if len(self._rows) != 2 * len(base_entries):
+            raise ValueError("two catalog entries share a row")
 
     def __getitem__(self, key):
-        label, design = self._entries[key]
-        if callable(design):
-            design = design()
+        label, design = self._rows[key]
+        if not isinstance(design, WeightedDesign):
+            design = design() if callable(design) else complement(self[design][1])
             if row_key(design) != key:
                 raise RuntimeError(f"{label} does not land on row {key}")
-            self._entries[key] = (label, design)
+            first_shell_weight = shells_of(design).shells[0][2]
+            if first_shell_weight != 1:
+                design = scale_weights(design, 1 / first_shell_weight)
+            self._rows[key] = (label, design)
         return label, design
 
     def __contains__(self, key):
-        return key in self._entries
+        return key in self._rows
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._rows)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._rows)

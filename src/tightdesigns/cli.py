@@ -136,13 +136,15 @@ def _cmd_decide(args) -> int:
     if budget < 0:
         print(f"error: search budget must be nonnegative, got {budget}", file=sys.stderr)
         return EXIT_MALFORMED
-    rows = feasibility.enumerate_rows(args.n, args.n)
-    if args.row_index is not None:
-        if not 1 <= args.row_index <= len(rows):
-            print(f"error: row index {args.row_index} outside 1..{len(rows)}",
-                  file=sys.stderr)
-            return EXIT_MALFORMED
-        rows = [rows[args.row_index - 1]]
+    try:
+        rows = feasibility.enumerate_rows(args.n, args.n)
+        if args.row_index is not None:
+            if not 1 <= args.row_index <= len(rows):
+                raise ValueError(f"row index {args.row_index} outside 1..{len(rows)}")
+            rows = [rows[args.row_index - 1]]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     any_undecided = False
     for i, row in enumerate(rows, start=1 if args.row_index is None else args.row_index):
         verdict = nonexistence.decide(row, budget=budget)

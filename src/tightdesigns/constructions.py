@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .designs import WeightedDesign, complement as design_complement
+from .designs import WeightedDesign
 from .hamming import BinaryWord
 
 
@@ -285,12 +285,7 @@ def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) ->
 
 
 # ---------------------------------------------------------------------------
-# the generated catalog
-
-
-HADAMARD_SIDES = (3, 7, 11, 15)
-PLANE_ORDERS = (2, 3, 4, 5)
-PALEY_ORDERS = (7, 11, 19, 23, 27, 31)
+# Hadamard 2-designs by order, and the built catalog
 
 
 def hadamard_of_order(order: int) -> SymmetricDesign:
@@ -301,32 +296,11 @@ def hadamard_of_order(order: int) -> SymmetricDesign:
     return paley_design(order - 1)
 
 
-def _base_designs():
-    """The 24 base constructions of the catalog, with provenance labels:
-    the Hadamard pairings for m in HADAMARD_SIDES, then the residual split of
-    every cataloged symmetric design and its complemented split where 2k != v.
-    """
-    for m in HADAMARD_SIDES:
-        yield f"hadamard[m={m}]", hadamard_design(hadamard_of_order(m + 1))
-    symmetric = [(f"plane[{q}]", projective_plane(q)) for q in PLANE_ORDERS]
-    symmetric += [(f"paley[{q}]", paley_design(q)) for q in PALEY_ORDERS]
-    for label, sym in symmetric:
-        yield f"residual({label})", from_symmetric_residual(sym)
-        if 2 * sym.k != sym.v:
-            yield f"complemented({label})", from_symmetric_complemented(sym)
-
-
 def known_designs() -> list[tuple[str, WeightedDesign]]:
-    """Every design the generated catalog can build, with provenance labels.
+    """Every catalog entry, built, in order: the designs of `catalog.registry()`
+    with their labels, each base construction followed by its
+    H(n,2)-complement, every first-shell weight 1."""
+    from . import catalog  # the catalog lists this module's constructions
 
-    Each of the 24 base designs is followed by its H(n,2)-complement, the
-    catalog's one use of complementation.  Splitting the complement of a
-    symmetric design would add no point set: its residual split is the
-    H(n,2)-complement of the residual split, and its complemented split is
-    the complemented split.
-    """
-    out: list[tuple[str, WeightedDesign]] = []
-    for label, built in _base_designs():
-        out.append((label, built))
-        out.append((f"complement({label})", design_complement(built)))
-    return out
+    registry = catalog.registry()
+    return [registry[key] for key in registry]

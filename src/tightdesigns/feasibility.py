@@ -101,6 +101,8 @@ def enumerate_rows(n_min: int, n_max: int) -> list[ParameterRow]:
     divisors of 2 r1(n - r1) (alpha1 integral, as gcd(N1 - 1, N1) = 1), and
     n - N1 must divide 2 r2(n - r2) (alpha2 integral, as gcd(N2 - 1, N2) = 1).
     """
+    if n_min < 1:
+        raise ValueError(f"n must be at least 1, got {n_min}")
     if n_min > n_max:
         raise ValueError("n_min exceeds n_max")
     rows = []

@@ -308,62 +308,16 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     # the items each pattern covers; arrays, since C(N, degree) lists would take far more memory
     covers = [array("I", [pair_of[q] for q in combinations(p, 2)] + [len(pairs) + i for i in p])
               for p in patterns]
-    chosen: dict[int, int] = {}
-    nodes = 0
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-
-    def place(j, m):
-        for t in covers[j]:
-            cap[t] -= m
-        chosen[j] = chosen.get(j, 0) + m
-        if not chosen[j]:
-            del chosen[j]
-
-    def search(remaining, usable):
-        need = 0
-        for t, c in enumerate(cap):
-            if c:
-                cands = usable & item_patterns[t]
-                if c > remaining or not cands:
-                    return None
-                if not need:
-                    need, target = c, cands
-        if not need:  # every item is full: all n points are placed
-            return dict(chosen)
-        return fill(target, need, remaining, usable)
-
-    def fill(cands, need, remaining, usable):
-        if need == 0:
-            return search(remaining, usable)
-        while cands:
-            j = (cands & -cands).bit_length() - 1
-            cands &= ~(1 << j)  # candidates are consumed in index order
-            top = min(need, remaining, min(map(cap.__getitem__, covers[j])))
-            for m in range(1, top + 1):
-                tick()
-                place(j, m)
-                allowed = compat(j)
-                result = fill(cands & allowed, need - m, remaining - m, usable & allowed)
-                place(j, -m)
-                if result is not None:
-                    return result
-            tick()
-        return None
-
+    state = _Search(cap, covers, item_patterns, compat, budget)
     try:
         # symmetry break: some point may be relabeled onto the first pattern; it
         # fits, as its blocks start at size >= 1 and its pairs (degree >= 2) at meet >= 1
-        place(0, 1)
-        result = search(n - 1, compat(0))
+        state.place(0, 1)
+        result = state.search(n - 1, compat(0))
     except _Budget:
-        return "undecided", None, nodes
+        return "undecided", None, state.nodes
     if result is None:
-        return "refuted", None, nodes
+        return "refuted", None, state.nodes
     blocks = [[] for _ in range(n_blocks)]
     point = 1
     for j in sorted(result):
@@ -373,11 +327,72 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
             point += 1
     if complemented:  # undo the transform on the emitted witness
         blocks = [[p for p in range(1, n + 1) if p not in set(b)] for b in blocks]
-    return "found", blocks, nodes
+    return "found", blocks, state.nodes
 
 
 class _Budget(Exception):
     pass
+
+
+class _Search:
+    """The state of one pattern search, with its recursion as methods: closures
+    that call each other form a reference cycle, which would keep each search's
+    cover arrays alive until the next garbage collection."""
+
+    __slots__ = ("cap", "covers", "item_patterns", "compat", "budget", "chosen", "nodes")
+
+    def __init__(self, cap, covers, item_patterns, compat, budget):
+        self.cap, self.covers, self.item_patterns = cap, covers, item_patterns
+        self.compat, self.budget = compat, budget
+        self.chosen: dict[int, int] = {}
+        self.nodes = 0
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _Budget
+
+    def place(self, j, m):
+        cap = self.cap
+        for t in self.covers[j]:
+            cap[t] -= m
+        chosen = self.chosen
+        chosen[j] = chosen.get(j, 0) + m
+        if not chosen[j]:
+            del chosen[j]
+
+    def search(self, remaining, usable):
+        need = 0
+        item_patterns = self.item_patterns
+        for t, c in enumerate(self.cap):
+            if c:
+                cands = usable & item_patterns[t]
+                if c > remaining or not cands:
+                    return None
+                if not need:
+                    need, target = c, cands
+        if not need:  # every item is full: all n points are placed
+            return dict(self.chosen)
+        return self.fill(target, need, remaining, usable)
+
+    def fill(self, cands, need, remaining, usable):
+        if need == 0:
+            return self.search(remaining, usable)
+        cap, covers, compat = self.cap, self.covers, self.compat
+        while cands:
+            j = (cands & -cands).bit_length() - 1
+            cands &= ~(1 << j)  # candidates are consumed in index order
+            top = min(need, remaining, min(map(cap.__getitem__, covers[j])))
+            for m in range(1, top + 1):
+                self.tick()
+                self.place(j, m)
+                allowed = compat(j)
+                result = self.fill(cands & allowed, need - m, remaining - m, usable & allowed)
+                self.place(j, -m)
+                if result is not None:
+                    return result
+            self.tick()
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +401,7 @@ class _Budget(Exception):
 
 @lru_cache(maxsize=1)
 def construction_registry() -> catalog.Registry:
-    """catalog.registry(), built once per process."""
+    """catalog.registry(), made once per process; designs are built on lookup."""
     return catalog.registry()
 
 

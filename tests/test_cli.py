@@ -247,22 +247,33 @@ def test_budget_bounds_search_setup():
 
 
 def test_only_generated_rows_load_the_generator():
-    # the registry lists the rows of the generated symmetric designs without
-    # building them: enumerate and a row outside the catalog never import the
-    # generator's module, and a generated row does
+    # the registry lists its rows without building a design: enumerate and a
+    # row outside the catalog build none and never import the generator's
+    # module; a generated row builds its one split and imports it.  Builds are
+    # counted at the two constructions every catalog design starts from (the
+    # complemented split runs through the residual split).
     script = "\n".join([
         "import sys",
-        "from tightdesigns import cli",
+        "from tightdesigns import cli, constructions",
+        "builds = 0",
+        "def counted(build):",
+        "    def wrapper(*args, **kwargs):",
+        "        global builds",
+        "        builds += 1",
+        "        return build(*args, **kwargs)",
+        "    return wrapper",
+        "for name in ('from_symmetric_residual', 'hadamard_design'):",
+        "    setattr(constructions, name, counted(getattr(constructions, name)))",
         "for argv in (['enumerate', '--n-min', '6', '--n-max', '60'],",
         "             ['decide', '--n', '34', '--row-index', '1'],",
         "             ['decide', '--n', '15', '--row-index', '1']):",
         "    code = cli.run(argv)",
-        "    print('loaded', code, 'tightdesigns.symmetric' in sys.modules)",
+        "    print('loaded', code, 'tightdesigns.symmetric' in sys.modules, builds)",
     ])
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     assert [line for line in result.stdout.splitlines() if line.startswith("loaded")] == [
-        "loaded 0 False", "loaded 0 False", "loaded 0 True"]
+        "loaded 0 False 0", "loaded 0 False 0", "loaded 0 True 1"]
 
 
 def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):
@@ -386,11 +397,16 @@ def bad_input(tmp_path, case):
         return ["verify", "--design", str(bad), "--t", "0"]
     if case == "empty n range":
         return ["enumerate", "--n-min", "10", "--n-max", "5"]
+    if case == "n range below 1":
+        return ["enumerate", "--n-min", "-2", "--n-max", "8"]
+    if case in ("zero n", "negative n"):
+        return ["decide", "--n", "0" if case == "zero n" else "-3"]
     return ["construct", "hadamard", "--m", "3", "--out", str(tmp_path / "no" / "dir" / "x.json")]
 
 
 @pytest.mark.parametrize("case", ["t above n", "negative t", "not utf-8", "zero denominator",
                                   "boolean n", "newline after weight", "empty n range",
+                                  "n range below 1", "zero n", "negative n",
                                   "missing output directory"])
 def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *bad_input(tmp_path, case))

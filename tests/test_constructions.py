@@ -182,15 +182,14 @@ def test_known_designs_all_verify():
     row_keys = {r.key for r in enumerate_rows(6, 30)}
     seen = set()
     catalog = known_designs()
-    assert len(catalog) == 48  # 24 base constructions, each followed by its complement
+    assert len(catalog) == 44  # 22 base constructions, each followed by its complement
     for label, design in catalog:
         r1, r2, n1, n2, w = shell_summary(design)
         profile = shells_of(design)
         assert profile.p == 2, label
         key = (design.n, r1, r2, n1, n2, w)
         assert key in row_keys, label  # every construction lands on a classified row
-        if key in seen:
-            continue
+        assert key not in seen, label  # and on a row of its own
         seen.add(key)
         assert fully_verified(design), label
 

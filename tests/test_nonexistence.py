@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -216,7 +217,8 @@ def test_registry_covers_forty_four_rows():
 
 
 # sha256 of repr([(key, label, save(design)), ...]) in registry order, over the
-# 30 entries from known_designs and then the 14 built on first lookup
+# first 30 entries (pairings, planes and Paley designs) and then the last 14
+# (Sylvester's 2-(15,7,3) and the generated designs)
 REGISTRY_SHA256 = ("d0ac4c7f4b4d86358660a22cae92e498c97cb3fd0c97de5b118fd8cac542961b",
                    "7f5bf79e4480b00764b1a34fb3796dab837376c4e21ea2b632182e54e4b3f175")
 
@@ -232,17 +234,34 @@ def test_registry_is_pinned_and_closed_under_complement():
         assert scale_weights(image, 1 / shells_of(image).shells[0][2]) == twin, label
 
 
-def test_lazy_keys_are_the_keys_of_the_built_designs():
+def test_every_catalog_entry_lands_on_its_listed_key():
+    # each key is computed from the entry's parameters, the Hadamard pairings'
+    # w = 8/(n+2) among them; building the entry must land on it
+    entries = catalog.entries()
+    assert len(entries) == 22
+    for label, key, build in entries:
+        assert catalog.row_key(build()) == key, label
     registry = construction_registry()
-    lazy = catalog.lazy_designs()
-    assert len(lazy) == 16  # both splits of four designs, each with its complement
-    assert len({key for _label, key, _build in lazy}) == 14  # 2-(15,7,3)'s two splits share keys
-    for label, key, build in lazy:
-        design = build()
+    keys = [key for _label, key, _build in entries]
+    keys += [catalog.twin_key(key) for key in keys]
+    assert len(set(keys)) == 44 and set(keys) == set(registry)
+    for key, (label, design) in registry.items():
         assert catalog.row_key(design) == key, label
-        assert key in registry
-        if registry[key][0] == label:
-            assert registry[key][1] == design
+        assert shells_of(design).shells[0][2] == 1, label
+
+
+def test_search_leaves_no_reference_cycle():
+    # a search's state must be freed on return, not left for the collector
+    target = row(21, 3)
+    solutions = pair_lambda_solutions(target)
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = csp_search(target, 1 if target.n1 <= target.n2 else 2, solutions)
+        assert verdict.found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verdict_serialization():
