@@ -84,21 +84,17 @@ def verdict_to_dict(row: ParameterRow, verdict: Verdict) -> dict:
 
 
 def point_lambdas(row: ParameterRow) -> Union[PointLambdas, Verdict]:
-    """Solve the two-equation system for the per-coordinate counts.
+    """The forced per-coordinate counts lambda^(i)_1 = N_i r_i / n.
 
-    With lambda_1, lambda_2 the design's covering constants and weights
-    normalized to (1, w):
-
-      lambda^(1)_1 = ((r2-1) lambda_1 - (n-1) lambda_2) / (r2 - r1)
-      lambda^(2)_1 = ((n-1) lambda_2 - (r1-1) lambda_1) / ((r2 - r1) w)
-
-    Both must be nonnegative integers at most their shell sizes; the double
-    count n * lambda^(i)_1 = N_i * r_i pins them independently.
+    At a coordinate the covering constants lambda_1 and lambda_2 give two
+    independent linear equations in the two shells' counts there (r1 != r2), so
+    each count is the same at every coordinate, and double counting shell i's
+    N_i r_i incidences over the n coordinates gives its value.  As 0 < r_i < n,
+    it lies strictly between 0 and N_i: only integrality can fail.
     """
-    first = Fraction((row.r2 - 1) * row.lambda1 - (row.n - 1) * row.lambda2, row.r2 - row.r1)
-    second = ((row.n - 1) * row.lambda2 - (row.r1 - 1) * row.lambda1) / ((row.r2 - row.r1) * row.w)
+    first, second = Fraction(row.n1 * row.r1, row.n), Fraction(row.n2 * row.r2, row.n)
     for value, cap, shell in ((first, row.n1, 1), (second, row.n2, 2)):
-        if value.denominator != 1 or not 0 <= value <= cap:
+        if value.denominator != 1:
             return Verdict(
                 "refuted",
                 CAUSE_POINT_LAMBDA,
@@ -139,53 +135,57 @@ def pair_lambda_solutions(row: ParameterRow) -> tuple[PairLambdaSolution, ...]:
 def counting_filters(row: ParameterRow, solutions) -> Verdict:
     """Double-counting rules over the forced per-pair counts.
 
-    Summing a pair count over all C(n,2) pairs must give N_i * C(r_i, 2)
-    for containment and N_i * C(n-r_i, 2) for avoidance.  When the system
-    forces a single value the sum rule is an equality test; the forced-zero
-    case contradicts any shell whose blocks contain (or miss) pairs at all.
-    The avoid sum is not tested: with y_i = N_i - 2 lambda^(i)_1 + x_i and
-    n lambda^(i)_1 = N_i r_i, it fails exactly when the contain sum fails.
+    Every per-pair count is an affine image of contain1 (y_i = N_i -
+    2 lambda^(i)_1 + x_i, x_2 = (lambda_2 - x_1)/w), so a count is forced only
+    when exactly one tuple is admissible.  A forced count of 0 contradicts a
+    shell whose blocks contain (or miss) pairs at all.  Summed over all C(n,2)
+    pairs, contain1 must give N_1 C(r_1, 2); the other three sums need no test,
+    as C(n,2) lambda_2 = N_1 C(r_1, 2) + w N_2 C(r_2, 2) and
+    n lambda^(i)_1 = N_i r_i make each hold exactly when that one does.
     """
     if not solutions:
         raise ValueError("counting_filters needs a nonempty solution set")
-    n = row.n
-    checks = (
-        ("contain", 1, sorted({s.contain1 for s in solutions}), row.n1, binomial(row.r1, 2)),
-        ("avoid", 1, sorted({s.avoid1 for s in solutions}), row.n1, binomial(n - row.r1, 2)),
-        ("contain", 2, sorted({s.contain2 for s in solutions}), row.n2, binomial(row.r2, 2)),
-        ("avoid", 2, sorted({s.avoid2 for s in solutions}), row.n2, binomial(n - row.r2, 2)),
-    )
-    for kind, shell, values, blocks, per_block in checks:
-        if values == [0] and blocks >= 1 and per_block > 0:
+    if len(solutions) != 1:
+        return Verdict("undecided", detail="counting filters passed")
+    (s,) = solutions
+    n, pairs = row.n, binomial(row.n, 2)
+    for kind, shell, value, blocks, per_block in (
+        ("contain", 1, s.contain1, row.n1, binomial(row.r1, 2)),
+        ("avoid", 1, s.avoid1, row.n1, binomial(n - row.r1, 2)),
+        ("contain", 2, s.contain2, row.n2, binomial(row.r2, 2)),
+        ("avoid", 2, s.avoid2, row.n2, binomial(n - row.r2, 2)),
+    ):
+        if value == 0:
             return Verdict(
                 "refuted",
                 CAUSE_ZERO_PAIR_DEGREE,
                 f"shell {shell}: every pair is forced to {kind} count 0, but each of the "
                 f"{blocks} blocks yields {per_block} such pairs",
             )
-    for kind, shell, values, blocks, per_block in checks[::2]:  # the contain counts
-        if len(values) == 1 and values[0] * binomial(n, 2) != blocks * per_block:
-            return Verdict(
-                "refuted",
-                CAUSE_PAIR_DEGREE_SUM,
-                f"shell {shell}: {kind} count forced to {values[0]}, but "
-                f"{values[0]}*C({n},2) = {values[0] * binomial(n, 2)} != "
-                f"{blocks}*{per_block} = {blocks * per_block}",
-            )
+    total = row.n1 * binomial(row.r1, 2)
+    if s.contain1 * pairs != total:
+        return Verdict(
+            "refuted",
+            CAUSE_PAIR_DEGREE_SUM,
+            f"shell 1: contain count forced to {s.contain1}, but "
+            f"{s.contain1}*C({n},2) = {s.contain1 * pairs} != "
+            f"{row.n1}*{binomial(row.r1, 2)} = {total}",
+        )
     return Verdict("undecided", detail="counting filters passed")
 
 
 def _shell_parameters(row: ParameterRow, shell: int, solutions):
+    lam = point_lambdas(row)
+    if not isinstance(lam, PointLambdas):
+        raise ValueError("csp_search needs integral point lambdas")
     if shell == 1:
-        n_blocks, size, alpha, domain = row.n1, row.r1, row.alpha1, {s.contain1 for s in solutions}
+        n_blocks, size, alpha, degree = row.n1, row.r1, row.alpha1, lam.first
+        domain = {s.contain1 for s in solutions}
     elif shell == 2:
-        n_blocks, size, alpha, domain = row.n2, row.r2, row.alpha2, {s.contain2 for s in solutions}
+        n_blocks, size, alpha, degree = row.n2, row.r2, row.alpha2, lam.second
+        domain = {s.contain2 for s in solutions}
     else:
         raise ValueError(f"shell must be 1 or 2, got {shell}")
-    # the degree is lambda^(i)_1 = N_i r_i / n, by double counting coordinate incidences
-    degree, rest = divmod(n_blocks * size, row.n)
-    if rest:
-        raise ValueError("csp_search needs integral point lambdas")
     return n_blocks, size, size - alpha // 2, degree, sorted(domain)
 
 

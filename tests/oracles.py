@@ -1,9 +1,11 @@
-"""Generic exact linear algebra, the exhaustive row enumeration and the
-degree-2 moment solve for the per-pair counts, kept as test oracles for the
-closed forms and the divisibility-driven enumeration.
+"""Generic exact linear algebra, the exhaustive row enumeration, the
+two-equation solve for the point counts and the degree-2 moment solve for the
+per-pair counts, kept as test oracles for the closed forms and the
+divisibility-driven enumeration.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
-`tightdesigns.feasibility.enumerate_rows` and
+`tightdesigns.feasibility.enumerate_rows`,
+`tightdesigns.nonexistence.point_lambdas` and
 `tightdesigns.nonexistence.pair_lambda_solutions` replace them, and the tests
 compare the two.
 """
@@ -26,6 +28,20 @@ def enumerate_rows_exhaustive(n_min: int, n_max: int) -> list:
                     if row is not None:
                         rows.append(row)
     return rows
+
+
+def point_lambdas_two_equation(row) -> tuple[Fraction, Fraction]:
+    """The per-coordinate counts (lambda^(1)_1, lambda^(2)_1) from the covering
+    constants alone, with weights normalized to (1, w):
+
+      lambda^(1)_1 + w lambda^(2)_1 = lambda_1
+      (r1 - 1) lambda^(1)_1 + w (r2 - 1) lambda^(2)_1 = (n - 1) lambda_2
+
+    (the second counts the pairs through a coordinate).
+    """
+    first = Fraction((row.r2 - 1) * row.lambda1 - (row.n - 1) * row.lambda2, row.r2 - row.r1)
+    second = ((row.n - 1) * row.lambda2 - (row.r1 - 1) * row.lambda1) / ((row.r2 - row.r1) * row.w)
+    return first, second
 
 
 def pair_lambda_solutions_moment(row) -> tuple:

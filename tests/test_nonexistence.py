@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pair_lambda_solutions_moment
+from oracles import pair_lambda_solutions_moment, point_lambdas_two_equation
 from reference_table import REFERENCE_ROWS
 from tightdesigns import catalog, nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
@@ -48,11 +48,20 @@ def test_point_lambdas_rejects_27():
 
 
 def test_point_lambdas_double_count_identity():
-    for r in ALL_ROWS.values():
+    # the double count N_i r_i / n equals the two-equation solve from the
+    # covering constants on every row of 6..200, integral or not
+    rows = enumerate_rows(6, 200)
+    assert len(rows) == 2746
+    for r in rows:
+        first, second = point_lambdas_two_equation(r)
         result = point_lambdas(r)
-        if isinstance(result, PointLambdas):
-            assert r.n * result.first == r.n1 * r.r1
-            assert r.n * result.second == r.n2 * r.r2
+        if first.denominator == second.denominator == 1:
+            assert result == PointLambdas(int(first), int(second))
+        else:
+            shell, value, cap = (1, first, r.n1) if first.denominator != 1 else (2, second, r.n2)
+            assert result == Verdict("refuted", CAUSE_POINT_LAMBDA,
+                                     f"lambda^({shell})_1 = {value} is not an integer "
+                                     f"in [0, {cap}]"), r.key
 
 
 def test_pair_solutions_unique_for_10_1():
