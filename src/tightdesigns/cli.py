@@ -86,16 +86,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.kind == "hadamard":
-        try:
+    try:
+        if args.kind == "hadamard":
             if args.m % 4 != 3:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
             design = constructions.hadamard_design(constructions.hadamard_of_order(args.m + 1))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
-    else:
-        try:
+        else:
             if args.plane is not None:
                 symmetric = constructions.projective_plane(args.plane)
             else:
@@ -106,9 +102,9 @@ def _cmd_construct(args) -> int:
                 design = constructions.from_symmetric_residual(symmetric, args.base_point)
             else:
                 design = constructions.from_symmetric_complemented(symmetric, args.base_point)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MALFORMED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     if not all(result.ok for result in verify.full_check(design)):
         print("error: constructed design failed verification", file=sys.stderr)
         return EXIT_VERIFY_FAILED

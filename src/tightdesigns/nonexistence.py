@@ -139,38 +139,41 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
     2 lambda^(i)_1 + x_i, x_2 = (lambda_2 - x_1)/w), so a count is forced only
     when exactly one tuple is admissible.  A forced count of 0 contradicts a
     shell whose blocks contain (or miss) pairs at all.  Summed over all C(n,2)
-    pairs, contain1 must give N_1 C(r_1, 2); the other three sums need no test,
-    as C(n,2) lambda_2 = N_1 C(r_1, 2) + w N_2 C(r_2, 2) and
+    pairs, contain1 must give N_1 C(r_1, 2), which therefore lies between
+    C(n,2) times its least and its greatest admissible value.  The other three
+    sums need no test, as C(n,2) lambda_2 = N_1 C(r_1, 2) + w N_2 C(r_2, 2) and
     n lambda^(i)_1 = N_i r_i make each hold exactly when that one does.
     """
     if not solutions:
         raise ValueError("counting_filters needs a nonempty solution set")
-    if len(solutions) != 1:
-        return Verdict("undecided", detail="counting filters passed")
-    (s,) = solutions
     n, pairs = row.n, binomial(row.n, 2)
-    for kind, shell, value, blocks, per_block in (
-        ("contain", 1, s.contain1, row.n1, binomial(row.r1, 2)),
-        ("avoid", 1, s.avoid1, row.n1, binomial(n - row.r1, 2)),
-        ("contain", 2, s.contain2, row.n2, binomial(row.r2, 2)),
-        ("avoid", 2, s.avoid2, row.n2, binomial(n - row.r2, 2)),
-    ):
-        if value == 0:
-            return Verdict(
-                "refuted",
-                CAUSE_ZERO_PAIR_DEGREE,
-                f"shell {shell}: every pair is forced to {kind} count 0, but each of the "
-                f"{blocks} blocks yields {per_block} such pairs",
-            )
+    if len(solutions) == 1:
+        (s,) = solutions
+        for kind, shell, value, blocks, per_block in (
+            ("contain", 1, s.contain1, row.n1, binomial(row.r1, 2)),
+            ("avoid", 1, s.avoid1, row.n1, binomial(n - row.r1, 2)),
+            ("contain", 2, s.contain2, row.n2, binomial(row.r2, 2)),
+            ("avoid", 2, s.avoid2, row.n2, binomial(n - row.r2, 2)),
+        ):
+            if value == 0:
+                return Verdict(
+                    "refuted",
+                    CAUSE_ZERO_PAIR_DEGREE,
+                    f"shell {shell}: every pair is forced to {kind} count 0, but each of "
+                    f"the {blocks} blocks yields {per_block} such pairs",
+                )
+    low = min(s.contain1 for s in solutions)
+    high = max(s.contain1 for s in solutions)
     total = row.n1 * binomial(row.r1, 2)
-    if s.contain1 * pairs != total:
-        return Verdict(
-            "refuted",
-            CAUSE_PAIR_DEGREE_SUM,
-            f"shell 1: contain count forced to {s.contain1}, but "
-            f"{s.contain1}*C({n},2) = {s.contain1 * pairs} != "
-            f"{row.n1}*{binomial(row.r1, 2)} = {total}",
-        )
+    if not low * pairs <= total <= high * pairs:
+        if low == high:
+            trace = f"contain count forced to {low}, but {low}*C({n},2) = {low * pairs} !="
+        else:
+            trace = (f"contain counts lie in [{low}, {high}], so their sum over the "
+                     f"C({n},2) = {pairs} pairs lies in [{low * pairs}, {high * pairs}], "
+                     f"but it must be")
+        return Verdict("refuted", CAUSE_PAIR_DEGREE_SUM,
+                       f"shell 1: {trace} {row.n1}*{binomial(row.r1, 2)} = {total}")
     return Verdict("undecided", detail="counting filters passed")
 
 

@@ -73,6 +73,16 @@ def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     return totals
 
 
+def _weight_groups(design: WeightedDesign, t: int) -> dict[Fraction, list[int]]:
+    """The points' bit masks grouped by weight value; raises ValueError unless 0 <= t <= n."""
+    if not 0 <= t <= design.n:
+        raise ValueError(f"t={t} outside 0..{design.n}")
+    groups: dict[Fraction, list[int]] = {}
+    for y, w in zip(design.points, design.weights):
+        groups.setdefault(w, []).append(y.bits)
+    return groups
+
+
 def _words_of_weight(n: int, j: int):
     for support in combinations(range(1, n + 1), j):
         yield BinaryWord.from_support(n, support)
@@ -92,13 +102,9 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     and the last sum is Q_r(|v|).
     """
     n = design.n
-    if not 0 <= t <= n:
-        raise ValueError(f"t={t} outside 0..{n}")
-    totals = _shell_weights(design)
     # Q_j values are integers: sum them per weight value, then weight each sum once
-    groups: dict[Fraction, list[int]] = {}
-    for y, w in zip(design.points, design.weights):
-        groups.setdefault(w, []).append(y.bits)
+    groups = _weight_groups(design, t)
+    totals = _shell_weights(design)
     for j in range(t + 1):
         q = [krawtchouk(n, j, nu) for nu in range(n + 1)]
         rhs = Fraction(0)
@@ -116,12 +122,8 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
 def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
     """Check that sum of w(y) over points with support containing u is constant per |u|."""
     n = design.n
-    if not 0 <= t <= n:
-        raise ValueError(f"t={t} outside 0..{n}")
     # count covering points per weight value, then weight each count once
-    groups: dict[Fraction, list[int]] = {}
-    for y, w in zip(design.points, design.weights):
-        groups.setdefault(w, []).append(y.bits)
+    groups = _weight_groups(design, t)
     lambdas = []
     for j in range(t + 1):
         expected: Optional[Fraction] = None

@@ -156,9 +156,10 @@ def test_decide_output_is_stable(capsys):
 CATALOG_ROWS = {14: (2, 3), 15: (1, 2, 3, 4), 24: (1, 2, 3, 4), 30: (10, 11, 14, 23)}
 # sha256 over the exit code and stdout of each `decide ... --format json` below:
 # every other row of 6..30; 34(2), whose two shells both stop in mid-search at
-# budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1) and
-# 35(2) exhausted after 220 nodes, 40 after 0 nodes, 44(3) and 44(5) after 870 nodes
-SEARCH_SHA256 = "fe924bb6e3c503ba408ab175835ef32628ca82b2b78d3f8adae73cf55c6f512f"
+# budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1, 2, 6, 8)
+# refuted by the range of the shell-1 pair sum, 40 exhausted after 0 nodes, 44(3)
+# and 44(5) after 870 nodes
+SEARCH_SHA256 = "ceaed85d94965a8256e4e35ec37b4b5b1aa926dc3992a6cd249318fb72af90bf"
 SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 31) if n not in CATALOG_ROWS]
                 + [["--n", str(n), "--row-index", str(i)] for n, rows in ((14, 4), (30, 26))
                    for i in range(1, rows + 1) if i not in CATALOG_ROWS[n]]

@@ -10,8 +10,10 @@ from reference_table import REFERENCE_ROWS
 from tightdesigns import catalog, nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
+from tightdesigns.hamming import binomial
 from tightdesigns.nonexistence import (
     CAUSE_CSP_EXHAUSTED,
+    CAUSE_PAIR_DEGREE_SUM,
     CAUSE_POINT_LAMBDA,
     CAUSE_ZERO_PAIR_DEGREE,
     PairLambdaSolution,
@@ -124,10 +126,50 @@ def test_counting_filters_refutes_18_4():
     assert "shell 1" in verdict.detail
 
 
+# the rows of 6..30 that `decide` reports found on a single-shell witness
+WITNESS_ROWS = ((21, 3), (21, 4), (21, 7), (21, 11), (28, 1), (28, 2), (28, 4), (28, 6))
+
+
 def test_counting_filters_pass_existing_design_rows():
-    for n, index in ((6, 1), (14, 2), (30, 21)):
-        r = row(n, index)
-        assert counting_filters(r, pair_lambda_solutions(r)).undecided
+    # a necessary condition must never refute a row whose shell is realizable
+    by_key = {r.key: r for r in ALL_ROWS.values()}
+    targets = [by_key[key] for key in construction_registry()]
+    targets += [row(n, index) for n, index in WITNESS_ROWS]
+    assert len(targets) == 52
+    for r in targets:
+        assert counting_filters(r, pair_lambda_solutions(r)).undecided, r.key
+
+
+def test_pair_counts_are_forced_only_by_a_lone_tuple():
+    # every per-pair count is an affine image of contain1, and with one tuple
+    # the shell-2 pair sum holds exactly when the shell-1 sum does
+    pairs_checked = 0
+    for r in enumerate_rows(6, 200):
+        solutions = pair_lambda_solutions(r)
+        if len(solutions) >= 2:
+            for count in ("contain1", "avoid1", "contain2", "avoid2"):
+                assert len({getattr(s, count) for s in solutions}) >= 2, (r.key, count)
+        elif solutions:
+            (s,) = solutions
+            pairs = binomial(r.n, 2)
+            assert ((s.contain1 * pairs == r.n1 * binomial(r.r1, 2))
+                    == (s.contain2 * pairs == r.n2 * binomial(r.r2, 2))), r.key
+            pairs_checked += 1
+    assert pairs_checked > 0
+
+
+def test_pair_sum_range_refutes_rows_the_search_reached():
+    # each was exhausted after 220 nodes (35) or undecided at budget 50000 (60)
+    # before the pair sum was tested against the range of contain1
+    for n, index in ((35, 1), (35, 2), (35, 6), (35, 8), (60, 1), (60, 2), (60, 13), (60, 16)):
+        verdict = decide(enumerate_rows(n, n)[index - 1], budget=50_000)
+        assert verdict.refuted and verdict.cause == CAUSE_PAIR_DEGREE_SUM, (n, index)
+    assert decide(enumerate_rows(35, 35)[0]).detail == (
+        "shell 1: contain counts lie in [1, 3], so their sum over the C(35,2) = 595 pairs "
+        "lies in [595, 1785], but it must be 15*21 = 315")
+    # a lone tuple keeps the equality form
+    assert decide(enumerate_rows(56, 56)[10]).detail == (
+        "shell 1: contain count forced to 2, but 2*C(56,2) = 3080 != 8*91 = 728")
 
 
 def test_counting_filters_needs_solutions():
