@@ -143,7 +143,7 @@ def test_counting_filters_pass_existing_design_rows():
 def test_pair_counts_are_forced_only_by_a_lone_tuple():
     # every per-pair count is an affine image of contain1, and with one tuple
     # the shell-2 pair sum holds exactly when the shell-1 sum does
-    pairs_checked = 0
+    lone = 0
     for r in enumerate_rows(6, 200):
         solutions = pair_lambda_solutions(r)
         if len(solutions) >= 2:
@@ -154,13 +154,13 @@ def test_pair_counts_are_forced_only_by_a_lone_tuple():
             pairs = binomial(r.n, 2)
             assert ((s.contain1 * pairs == r.n1 * binomial(r.r1, 2))
                     == (s.contain2 * pairs == r.n2 * binomial(r.r2, 2))), r.key
-            pairs_checked += 1
-    assert pairs_checked > 0
+            lone += 1
+    assert lone > 0
 
 
 def test_pair_sum_range_refutes_rows_the_search_reached():
-    # each was exhausted after 220 nodes (35) or undecided at budget 50000 (60)
-    # before the pair sum was tested against the range of contain1
+    # without the range of contain1, the search exhausts the 35 rows after 220
+    # nodes and leaves the 60 rows undecided at budget 50000
     for n, index in ((35, 1), (35, 2), (35, 6), (35, 8), (60, 1), (60, 2), (60, 13), (60, 16)):
         verdict = decide(enumerate_rows(n, n)[index - 1], budget=50_000)
         assert verdict.refuted and verdict.cause == CAUSE_PAIR_DEGREE_SUM, (n, index)
