@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from array import array
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Union
 
 from . import catalog, verify
@@ -252,14 +252,16 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     A configuration is equivalent to a multiset of n patterns (each a
     degree-subset of the block indices) where any two member patterns
     intersect in a value from `domain` (a point pair's containment count is
-    exactly that intersection) and every cover item is covered exactly to its
-    capacity: each of the C(N,2) index pairs by `meet` patterns, then each of
-    the N blocks by `size` patterns.
+    exactly that intersection).  The cover items are the block pairs a <= b
+    (the pairs a < b, then each block as (a, a)), and item (a, b) must lie in
+    exactly |B_a & B_b| of the n patterns, B_a being block a's points: `meet`
+    off the diagonal, `size` on it.  Compatibility rows come from the
+    patterns through each block by the meet recurrence (see `compat`).
 
     Counting incidences gives meet (N-1) = size (degree-1), and the block
     complement keeps it, so the pairs through a block always hold degree-1
     times that block's capacity.  Hence every item is full exactly when all
-    n points are placed, and until then some index pair is open (a block
+    n points are placed, and until then some pair a < b is open (a block
     when degree = 1, where meet = 0): the first open item is the target.
     """
     # blocks over half the ground set: complement them, a bijection on configurations
@@ -277,39 +279,35 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
         return "undecided", None, 0
 
     patterns = list(combinations(range(n_blocks), degree))
-    masks = [sum(1 << i for i in p) for p in patterns]
-    # values outside [0, degree] are never an intersection size, so they change nothing
-    domain_set = set(domain)
-    everything = (1 << len(patterns)) - 1
-    # the domain excludes no realizable intersection value iff it is "full"
-    full_domain = domain_set >= set(range(max(0, 2 * degree - n_blocks), degree + 1))
+    # the patterns through each block as a bitset, read from a '0'/'1' string per block
+    digits = [bytearray(b"0") * len(patterns) for _ in range(n_blocks)]
+    for j, p in enumerate(reversed(patterns)):  # the last digit is pattern 0's bit
+        for i in p:
+            digits[i][j] = ord("1")
+    block_patterns = [int(d, 2) for d in digits]
+    del digits
     compat_rows: dict[int, int] = {}
 
     def compat(a):
-        """Patterns usable alongside pattern a; computed lazily, once per pattern."""
-        if full_domain:
-            return everything
+        """Patterns meeting pattern a in a domain value (a meets itself in
+        degree), computed once per pattern by the meet recurrence: after k of
+        a's blocks, exactly[i] holds the patterns through i of them."""
         row = compat_rows.get(a)
         if row is None:
-            row = 1 << a if degree in domain_set else 0
-            mask_a = masks[a]
-            for b, mask_b in enumerate(masks):
-                if b != a and (mask_a & mask_b).bit_count() in domain_set:
-                    row |= 1 << b
-            compat_rows[a] = row
+            exactly = [(1 << len(patterns)) - 1]
+            for b in patterns[a]:
+                bits = block_patterns[b]
+                exactly = [x & ~bits | y & bits for x, y in zip(exactly + [0], [0] + exactly)]
+            # the exactly[i] are disjoint, so their sum is their union
+            row = compat_rows[a] = sum(x for i, x in enumerate(exactly) if i in domain)
         return row
 
-    # cover items: the index pairs first, then the blocks
-    pairs = list(combinations(range(n_blocks), 2))
-    pair_of = {pair: t for t, pair in enumerate(pairs)}
-    block_patterns = [0] * n_blocks
-    for j, p in enumerate(patterns):
-        for i in p:
-            block_patterns[i] |= 1 << j
-    item_patterns = [block_patterns[a] & block_patterns[b] for a, b in pairs] + block_patterns
-    cap = [meet] * len(pairs) + [size] * n_blocks
+    items = list(combinations(range(n_blocks), 2)) + [(a, a) for a in range(n_blocks)]
+    index = {item: t for t, item in enumerate(items)}
+    item_patterns = [block_patterns[a] & block_patterns[b] for a, b in items]
+    cap = [size if a == b else meet for a, b in items]
     # the items each pattern covers; arrays, since C(N, degree) lists would take far more memory
-    covers = [array("I", [pair_of[q] for q in combinations(p, 2)] + [len(pairs) + i for i in p])
+    covers = [array("I", map(index.__getitem__, combinations_with_replacement(p, 2)))
               for p in patterns]
     state = _Search(cap, covers, item_patterns, compat, budget)
     try:

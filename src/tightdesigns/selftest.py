@@ -47,4 +47,14 @@ def run(out) -> bool:
     )
     report("decide: n=6 rows found, n=27 rows refuted", passed)
 
+    row = feasibility.enumerate_rows(20, 20)[6]
+    verdict = nonexistence.csp_search(row, 1, nonexistence.pair_lambda_solutions(row))
+    passed = verdict.cause == nonexistence.CAUSE_CSP_EXHAUSTED
+    row = feasibility.enumerate_rows(21, 21)[2]
+    solutions = nonexistence.pair_lambda_solutions(row)
+    verdict = nonexistence.csp_search(row, 1, solutions)
+    passed &= verdict.found and nonexistence.check_shell_config(
+        row, 1, solutions, verdict.witness["blocks"])
+    report("csp_search: 20(7) shell 1 exhausted, 21(3) shell 1 witness checks", passed)
+
     return ok

@@ -1,12 +1,14 @@
 """Generic exact linear algebra, the exhaustive row enumeration, the
-two-equation solve for the point counts and the degree-2 moment solve for the
-per-pair counts, kept as test oracles for the closed forms and the
-divisibility-driven enumeration.
+two-equation solve for the point counts, the degree-2 moment solve for the
+per-pair counts and the per-pattern compatibility scan, kept as test oracles
+for the closed forms, the divisibility-driven enumeration and the search's
+meet recurrence.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.feasibility.enumerate_rows`,
-`tightdesigns.nonexistence.point_lambdas` and
-`tightdesigns.nonexistence.pair_lambda_solutions` replace them, and the tests
+`tightdesigns.nonexistence.point_lambdas`,
+`tightdesigns.nonexistence.pair_lambda_solutions` and the compatibility rows
+of `tightdesigns.nonexistence._pattern_search` replace them, and the tests
 compare the two.
 """
 
@@ -102,6 +104,24 @@ def pair_lambda_solutions_moment(row) -> tuple:
                 if y2_exact.denominator == 1 and 0 <= y2_exact <= row.n2 - x2:
                     solutions.append(PairLambdaSolution(x1, y1, x2, int(y2_exact)))
     return tuple(sorted(solutions))
+
+
+def compatibility_rows_scan(patterns, domain, degree) -> list[int]:
+    """Each pattern's compatibility row, by a scan over the pattern masks.
+
+    Row a has bit b (b != a) when patterns a and b meet in a value of
+    `domain`, and bit a when `degree`, a's meet with itself, is in it.
+    """
+    masks = [sum(1 << i for i in p) for p in patterns]
+    domain = set(domain)
+    rows = []
+    for a, mask_a in enumerate(masks):
+        row = 1 << a if degree in domain else 0
+        for b, mask_b in enumerate(masks):
+            if b != a and (mask_a & mask_b).bit_count() in domain:
+                row |= 1 << b
+        rows.append(row)
+    return rows
 
 
 class SingularLeadingMinor(ValueError):

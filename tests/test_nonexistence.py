@@ -2,10 +2,15 @@ import gc
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import pair_lambda_solutions_moment, point_lambdas_two_equation
+from oracles import (
+    compatibility_rows_scan,
+    pair_lambda_solutions_moment,
+    point_lambdas_two_equation,
+)
 from reference_table import REFERENCE_ROWS
 from tightdesigns import catalog, nonexistence
 from tightdesigns.designs import complement, save, scale_weights, shells_of
@@ -16,6 +21,7 @@ from tightdesigns.nonexistence import (
     CAUSE_PAIR_DEGREE_SUM,
     CAUSE_POINT_LAMBDA,
     CAUSE_ZERO_PAIR_DEGREE,
+    DEFAULT_BUDGET,
     PairLambdaSolution,
     PointLambdas,
     Verdict,
@@ -209,9 +215,63 @@ def test_csp_witnesses_revalidate():
 
 
 def test_csp_budget_exhaustion_is_undecided():
-    r = row(18, 2)  # large pattern space; a handful of nodes cannot settle it
-    verdict = csp_search(r, 1, pair_lambda_solutions(r), budget=50)
+    r = row(18, 2)
+    solutions = pair_lambda_solutions(r)
+    # a pattern space larger than the budget stops the search before its first node
+    verdict = csp_search(r, 1, solutions, budget=50)
     assert verdict.undecided
+    assert verdict.detail == ("shell 1 (9 blocks of size 8, pairwise meets 3): node budget 50 "
+                              "exhausted before the first node: 126 patterns")
+    # 126 patterns fit a budget of 300, which then runs out in mid-search
+    verdict = csp_search(r, 2, solutions, budget=300)
+    assert verdict.undecided
+    assert verdict.detail == ("shell 2 (10 blocks of size 9, pairwise meets 4): node budget 300 "
+                              "exhausted")
+
+
+class _SetUp(Exception):
+    """Raised in place of a search, once its set-up is captured."""
+
+
+def test_compatibility_rows_and_block_bitsets_match_the_scan(monkeypatch):
+    # every shell problem of 6..40 past the counting filters with at most 5,000
+    # patterns, as the search poses it (blocks over half the ground set
+    # complemented); twin rows and shells that pose the same problem run once
+    captured = {}
+
+    def capture(cap, covers, item_patterns, compat, budget):
+        captured.update(item_patterns=item_patterns, compat=compat)
+        raise _SetUp
+
+    monkeypatch.setattr(nonexistence, "_Search", capture)
+    problems = {}
+    for r in enumerate_rows(6, 40):
+        solutions = pair_lambda_solutions(r)
+        if not solutions or counting_filters(r, solutions).refuted:
+            continue
+        for shell in (1, 2):
+            n_blocks, size, meet, degree, domain = nonexistence._shell_parameters(
+                r, shell, solutions)
+            if 2 * size > r.n:
+                domain = {n_blocks - 2 * degree + t for t in domain}
+                size, degree = r.n - size, n_blocks - degree
+            if binomial(n_blocks, degree) <= 5000:
+                problems.setdefault((r.n, n_blocks, size, degree, frozenset(domain)),
+                                    (r, shell, solutions))
+    assert len(problems) == 36
+    domains = {(degree, domain) for _n, _blocks, _size, degree, domain in problems}
+    assert (1, frozenset({0, 1})) in domains  # degree 1: every meet is in the domain
+    assert (5, frozenset({0, 1, 2})) in domains  # the domain of 21(3) shell 2 omits degree
+    for (_n, n_blocks, _size, degree, domain), (r, shell, solutions) in problems.items():
+        with pytest.raises(_SetUp):
+            csp_search(r, shell, solutions, budget=5000)
+        patterns = list(combinations(range(n_blocks), degree))
+        # the blocks (a, a) are the last cover items
+        for i, bits in enumerate(captured["item_patterns"][-n_blocks:]):
+            assert all((bits >> j & 1) == (i in p) for j, p in enumerate(patterns))
+            assert bits >> len(patterns) == 0
+        rows = [captured["compat"](a) for a in range(len(patterns))]
+        assert rows == compatibility_rows_scan(patterns, domain, degree), r.key
 
 
 def test_csp_rejects_bad_shell():
@@ -302,15 +362,18 @@ def test_every_catalog_entry_lands_on_its_listed_key():
 
 
 def test_search_leaves_no_reference_cycle():
-    # a search's state must be freed on return, not left for the collector
-    target = row(21, 3)
-    solutions = pair_lambda_solutions(target)
+    # a search's state and cached rows must be freed on return, not left for the
+    # collector: after a witness, a stop in mid-search, and a refutation after 0 nodes
     gc.collect()
     gc.disable()
     try:
-        verdict = csp_search(target, 1 if target.n1 <= target.n2 else 2, solutions)
-        assert verdict.found
-        assert gc.collect() == 0
+        for (n, index), shell, budget, status in (((21, 3), 1, DEFAULT_BUDGET, "found"),
+                                                  ((18, 2), 2, 300, "undecided"),
+                                                  ((28, 3), 2, DEFAULT_BUDGET, "refuted")):
+            target = row(n, index)
+            verdict = csp_search(target, shell, pair_lambda_solutions(target), budget)
+            assert verdict.status == status, (n, index)
+            assert gc.collect() == 0, (n, index)
     finally:
         gc.enable()
 
