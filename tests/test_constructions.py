@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from tightdesigns.constructions import (
     sylvester_hadamard,
 )
 from tightdesigns.designs import relation_profile, shells_of
+from tightdesigns import symmetric
 from tightdesigns.symmetric import rotational_triples, symmetric_design
 
 
@@ -209,6 +211,25 @@ def test_symmetric_design_refuses_what_it_cannot_build():
         symmetric_design(7, 3, 1)
     with pytest.raises(ValueError, match="lam\\(v-1\\) != k\\(k-1\\)"):
         symmetric_design(10, 4, 2)
+
+
+def candidate_masks(v, k, lam):
+    """The generator's candidate blocks for 2-(v, k, lam), sorted: the k-sets of
+    the other points (bit q for point q + 1) meeting every block through the
+    base point in lam points."""
+    derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
+    columns = [sum(1 << q for q, block in enumerate(derived) if j in block) for j in range(k)]
+    return sorted(symmetric._candidates(derived, columns, [lam] * k, (1 << (v - 1)) - 1))
+
+
+@pytest.mark.parametrize("params, count, digest", [
+    ((25, 9, 3), 248, "4e73377a0c543449cf24a5d7850bc228311063349d70b2be1ab60638fd24ba83"),
+    ((31, 10, 3), 1272, "ab3084125cbbce3352bf67119a4889e85601288f9f178e7e6213a8e72b8183fc"),
+])
+def test_candidate_lists_are_pinned(params, count, digest):
+    masks = candidate_masks(*params)
+    assert len(masks) == count
+    assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == digest
 
 
 def test_rotational_triples_cover_every_pair_twice():
