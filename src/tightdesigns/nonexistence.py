@@ -406,7 +406,7 @@ def construction_registry() -> catalog.Registry:
     return catalog.registry()
 
 
-_VERIFIED_KEYS: set = set()
+_VERIFIED: set = set()  # (row key, design): a design put under a verified row is checked anew
 
 
 def verify_constructed(row: ParameterRow, design: WeightedDesign) -> None:
@@ -436,9 +436,9 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     hit = construction_registry().get(row.key)
     if hit is not None:
         label, design = hit
-        if row.key not in _VERIFIED_KEYS:
+        if (row.key, design) not in _VERIFIED:
             verify_constructed(row, design)
-            _VERIFIED_KEYS.add(row.key)
+            _VERIFIED.add((row.key, design))
         witness = {
             "kind": "design",
             "source": label,

@@ -13,7 +13,7 @@ from oracles import (
 )
 from reference_table import REFERENCE_ROWS
 from tightdesigns import catalog, nonexistence
-from tightdesigns.designs import complement, save, scale_weights, shells_of
+from tightdesigns.designs import WeightedDesign, complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import binomial
 from tightdesigns.nonexistence import (
@@ -311,6 +311,18 @@ def test_decide_registry_hits_are_verified_designs():
     assert verify.moments_check(design, 2).ok
     (r1, n1, w1), (r2, n2, w2) = shells_of(design).shells
     assert (r1, r2, n1, n2, w2 / w1) == (2, 11, 11, 12, Fraction(1, 3))
+
+
+def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
+    # the verification memo holds designs, not row keys: a design put in a
+    # new registry under a row verified before is checked again
+    six = row(6, 1)
+    assert decide(six).found
+    design = construction_registry()[six.key][1]
+    bad = WeightedDesign(design.n, design.points, (2 * design.weights[0],) + design.weights[1:])
+    monkeypatch.setattr(nonexistence, "construction_registry", lambda: {six.key: ("bad", bad)})
+    with pytest.raises(RuntimeError, match="fails the moments, balanced, frame, weight constancy checks"):
+        decide(six)
 
 
 def test_decide_is_deterministic():
