@@ -1,10 +1,10 @@
 """Exact primitives of the binary Hamming scheme H(n,2).
 
 Everything here is integer or rational arithmetic: binomial coefficients,
-Krawtchouk polynomials, shell intersection counts, and the closed-form Gram
-data of the degree-<=1 eigenfunctions restricted to two shells, together
-with their closed-form Gram-Schmidt orthogonalization.  No floating point
-anywhere; intermediate integers routinely exceed 64 bits (C(30,15)^2 scale).
+Krawtchouk polynomials, shell intersection counts, words split by their meet
+with a support, the closed-form Gram data of the degree-<=1 eigenfunctions on
+two shells and its closed-form Gram-Schmidt orthogonalization.  No floating
+point; intermediate integers routinely exceed 64 bits (C(30,15)^2 scale).
 """
 
 from __future__ import annotations
@@ -103,6 +103,17 @@ def shell_intersection(n: int, j: int, r: int, nu: int) -> int:
     if i > min(j, r):
         return 0
     return binomial(j, i) * binomial(n - j, r - i)
+
+
+def meet_classes(members, support, everything: int) -> list[int]:
+    """Entry i: the words of `everything` meeting `support` in i coordinates,
+    members[x] being the bitset of the words on coordinate x.  The meet
+    recurrence moves the words on each coordinate of `support` up one class."""
+    exactly = [everything]
+    for x in support:
+        bits = members[x]
+        exactly = [low ^ (low ^ high) & bits for low, high in zip(exactly + [0], [0] + exactly)]
+    return exactly
 
 
 @dataclass(frozen=True)

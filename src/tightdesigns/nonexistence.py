@@ -23,7 +23,7 @@ from . import catalog, verify
 # relation_profile is not called here; the benchmark's tracer counts it under this name
 from .designs import WeightedDesign, relation_profile, save  # noqa: F401
 from .feasibility import ParameterRow, row_to_dict
-from .hamming import binomial
+from .hamming import binomial, meet_classes
 
 DEFAULT_BUDGET = 10**9
 
@@ -290,14 +290,10 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
 
     def compat(a):
         """Patterns meeting pattern a in a domain value (a meets itself in
-        degree), computed once per pattern by the meet recurrence: after k of
-        a's blocks, exactly[i] holds the patterns through i of them."""
+        degree), split by their meet with a's blocks once per pattern."""
         row = compat_rows.get(a)
         if row is None:
-            exactly = [(1 << len(patterns)) - 1]
-            for b in patterns[a]:
-                bits = block_patterns[b]
-                exactly = [x & ~bits | y & bits for x, y in zip(exactly + [0], [0] + exactly)]
+            exactly = meet_classes(block_patterns, patterns[a], (1 << len(patterns)) - 1)
             # the exactly[i] are disjoint, so their sum is their union
             row = compat_rows[a] = sum(x for i, x in enumerate(exactly) if i in domain)
         return row

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from . import catalog, constructions, designs, feasibility, nonexistence, verify
+from .symmetric import symmetric_design
 from .hamming import binomial, shell_intersection
 
 
@@ -56,5 +57,9 @@ def run(out) -> bool:
     passed &= verdict.found and nonexistence.check_shell_config(
         row, 1, solutions, verdict.witness["blocks"])
     report("csp_search: 20(7) shell 1 exhausted, 21(3) shell 1 witness checks", passed)
+
+    built = constructions.from_symmetric_residual(symmetric_design(16, 6, 2))
+    report("symmetric_design 2-(16,6,2): residual split verifies",
+           all(result.ok for result in verify.full_check(built)))
 
     return ok

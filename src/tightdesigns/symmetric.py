@@ -6,9 +6,10 @@ points, read as the set of blocks through the base point that contain it, is
 a block of a 2-(k, lam, lam - 1) design: the structure at the base point is
 that design's dual.  `symmetric_design` fixes the design, lists the k-sets
 that meet every block through the base point in lam points, and completes
-with v - k of them that meet pairwise in lam points.  Every choice is made in
-a fixed order, so the result depends on (v, k, lam) alone.  The registry in
-`catalog` imports this module only when it first builds such a design.
+with v - k of them that meet pairwise in lam points, both by one exact cover
+over bitsets (`_covers`).  Every choice is made in a fixed order, so the
+result depends on (v, k, lam) alone.  The registry in `catalog` imports this
+module only when it first builds such a design.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .constructions import SymmetricDesign
+from .hamming import meet_classes
 
 
 def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
@@ -35,13 +37,16 @@ def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
         derived = rotational_triples(k)
     else:
         raise ValueError(f"the generator builds lam = 2 or 3, not 2-({v},{k},{lam})")
-    # column j: the points (bit q for point q + 1) on the j-th block through point 0
-    columns = [sum(1 << q for q, block in enumerate(derived) if j in block) for j in range(k)]
-    candidates = sorted(_candidates(derived, columns, [lam] * k, (1 << (v - 1)) - 1))
-    chosen = _complete(candidates, [k - lam] * (v - 1), lam, v - k)
+    # row q: the blocks through point 0 (bit j for the j-th) that hold point q + 1
+    rows = [sum(1 << j for j in block) for block in derived]
+    columns = _holders(rows, k)
+    candidates = sorted(sum(1 << q for q in cover)
+                        for cover in _covers(rows, columns, [lam] * k, (1 << len(rows)) - 1))
+    chosen = next(_covers(candidates, _holders(candidates, v - 1), [k - lam] * (v - 1),
+                          (1 << len(candidates)) - 1, lam), None)
     if chosen is None:
         raise ValueError(f"no symmetric 2-({v},{k},{lam}) design extends the derived design")
-    blocks = [column << 1 | 1 for column in columns] + [mask << 1 for mask in chosen]
+    blocks = [column << 1 | 1 for column in columns] + [candidates[j] << 1 for j in chosen]
     return SymmetricDesign(v, k, lam, tuple(
         frozenset(x for x in range(v) if mask >> x & 1) for mask in blocks))
 
@@ -88,60 +93,43 @@ def _first_cover(orbits, need, start):
     return None
 
 
-def _candidates(derived, columns, need, free, chosen=0):
-    """Every set of points, as a bit mask, that meets column j in need[j]
-    more points, drawn from the points in `free`.
+def _holders(masks, width):
+    """Bit b: the bitset of the masks on bit b."""
+    return [sum(1 << j for j, mask in enumerate(masks) if mask >> b & 1) for b in range(width)]
 
-    An exact cover with multiplicities: branch on the open column with the
-    fewest free points left, over the ways to fill it from them.
-    """
-    open_columns = [j for j, left in enumerate(need) if left]
-    if not open_columns:
+
+def _covers(masks, holders, need, live, meet=None, chosen=()):
+    """Each set of masks from `live`, a bitset of their indices, holding bit b
+    need[b] times and, given `meet`, meeting pairwise in `meet` bits, as its
+    indices in the order chosen; holders[b] is the bitset of the masks on b.
+
+    Branch on the open bit with the fewest live masks, over them in index
+    order.  A branch drops the masks tried before it (no cover is reached
+    twice), those on the bits it fills and, given `meet`, those that do not
+    meet it in `meet` bits (by the meet recurrence)."""
+    target = None
+    for b, left in enumerate(need):
+        if left:
+            count = (live & holders[b]).bit_count()
+            if count < left:
+                return
+            if target is None or count < fewest:
+                target, fewest = b, count
+    if target is None:
         yield chosen
         return
-    j = min(open_columns, key=lambda j: (free & columns[j]).bit_count())
-    mask = free & columns[j]
-    points = [q for q in range(len(derived)) if mask >> q & 1]
-    for picked in combinations(points, need[j]):
-        rest = list(need)
-        for q in picked:
-            for i in derived[q]:
-                rest[i] -= 1
-        if min(rest) < 0:
-            continue
-        still_free = free
-        for i, left in enumerate(rest):
-            if not left:
-                still_free &= ~columns[i]
-        yield from _candidates(derived, columns, rest, still_free,
-                               chosen | sum(1 << q for q in picked))
-
-
-def _complete(pool, need, lam, blocks_left):
-    """`blocks_left` masks from `pool` that meet pairwise in lam points and of
-    which exactly need[q] contain point q, or None.
-
-    Branch on the point with the fewest candidates left; the pool is
-    filtered along the path.  The branch that takes a point's i-th candidate
-    drops its earlier ones, so no set of blocks is reached twice.
-    """
-    if not blocks_left:
-        return []
-    holders = None
-    for q, left in enumerate(need):
-        if left:
-            mine = [mask for mask in pool if mask >> q & 1]
-            if len(mine) < left:
-                return None
-            if holders is None or len(mine) < len(holders):
-                holders = mine
-    for i, block in enumerate(holders):
-        rest_need = [left - (block >> q & 1) for q, left in enumerate(need)]
-        full = sum(1 << q for q, left in enumerate(rest_need) if not left)
-        tried = set(holders[:i])
-        rest = [mask for mask in pool if (mask & block).bit_count() == lam
-                and not mask & full and mask not in tried]
-        found = _complete(rest, rest_need, lam, blocks_left - 1)
-        if found is not None:
-            return [block] + found
-    return None
+    untried = live & holders[target]
+    while untried:
+        j = (untried & -untried).bit_length() - 1
+        untried ^= 1 << j
+        live ^= 1 << j
+        support = [b for b in range(len(need)) if masks[j] >> b & 1]
+        rest, full = list(need), 0
+        for b in support:
+            rest[b] -= 1
+            if not rest[b]:
+                full |= holders[b]
+        child = live & ~full
+        if meet is not None:  # an empty slice when the mask has fewer than `meet` bits
+            child = sum(meet_classes(holders, support, child)[meet:meet + 1])
+        yield from _covers(masks, holders, rest, child, meet, chosen + (j,))

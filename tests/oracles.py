@@ -1,18 +1,21 @@
 """Generic exact linear algebra, the exhaustive row enumeration, the
 two-equation solve for the point counts, the degree-2 moment solve for the
-per-pair counts and the per-pattern compatibility scan, kept as test oracles
-for the closed forms, the divisibility-driven enumeration and the search's
-meet recurrence.
+per-pair counts, the per-pattern compatibility scan, the popcount scan of
+meets and the subset enumeration of exact covers, kept as test oracles for
+the closed forms, the divisibility-driven enumeration, the meet recurrence
+and the symmetric-design generator's exact cover.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.feasibility.enumerate_rows`,
 `tightdesigns.nonexistence.point_lambdas`,
-`tightdesigns.nonexistence.pair_lambda_solutions` and the compatibility rows
-of `tightdesigns.nonexistence._pattern_search` replace them, and the tests
-compare the two.
+`tightdesigns.nonexistence.pair_lambda_solutions`, the compatibility rows
+of `tightdesigns.nonexistence._pattern_search`,
+`tightdesigns.hamming.meet_classes` and `tightdesigns.symmetric._covers`
+replace them, and the tests compare the two.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from tightdesigns.feasibility import candidate_row
 from tightdesigns.hamming import binomial, krawtchouk
@@ -122,6 +125,34 @@ def compatibility_rows_scan(patterns, domain, degree) -> list[int]:
                 row |= 1 << b
         rows.append(row)
     return rows
+
+
+def meet_classes_scan(words, support, everything) -> list[int]:
+    """Entry i: the bitset of the indices j in `everything` whose word meets
+    `support` in exactly i coordinates, by a popcount of each word."""
+    support_mask = sum(1 << x for x in support)
+    classes = [0] * (len(support) + 1)
+    for j, word in enumerate(words):
+        if everything >> j & 1:
+            classes[(word & support_mask).bit_count()] |= 1 << j
+    return classes
+
+
+def exact_covers_brute(masks, need, meet=None) -> list[tuple[int, ...]]:
+    """Every set of mask indices, ascending, whose masks hold bit b exactly
+    need[b] times and, given `meet`, meet pairwise in `meet` bits: each
+    subset of the masks is tried."""
+    covers = []
+    for size in range(len(masks) + 1):
+        for subset in combinations(range(len(masks)), size):
+            if any(sum(masks[j] >> b & 1 for j in subset) != left
+                   for b, left in enumerate(need)):
+                continue
+            if meet is not None and any((masks[i] & masks[j]).bit_count() != meet
+                                        for i, j in combinations(subset, 2)):
+                continue
+            covers.append(subset)
+    return covers
 
 
 class SingularLeadingMinor(ValueError):

@@ -194,6 +194,7 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+    assert "ok  symmetric_design 2-(16,6,2): residual split verifies" in out
 
 
 @pytest.mark.parametrize("value", ["many", "1.5", "-1"])

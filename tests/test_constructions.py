@@ -1,9 +1,11 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from oracles import exact_covers_brute
 from tightdesigns import verify
 from tightdesigns.constructions import (
     BadModulus,
@@ -218,8 +220,9 @@ def candidate_masks(v, k, lam):
     the other points (bit q for point q + 1) meeting every block through the
     base point in lam points."""
     derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
-    columns = [sum(1 << q for q, block in enumerate(derived) if j in block) for j in range(k)]
-    return sorted(symmetric._candidates(derived, columns, [lam] * k, (1 << (v - 1)) - 1))
+    rows = [sum(1 << j for j in block) for block in derived]
+    covers = symmetric._covers(rows, symmetric._holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
+    return sorted(sum(1 << q for q in cover) for cover in covers)
 
 
 @pytest.mark.parametrize("params, count, digest", [
@@ -230,6 +233,28 @@ def test_candidate_lists_are_pinned(params, count, digest):
     masks = candidate_masks(*params)
     assert len(masks) == count
     assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == digest
+
+
+def test_covers_match_the_subset_enumeration():
+    # random masks (never empty: the search picks masks that hold an open bit)
+    # and needs read off a planted set of masks, pairwise meeting in `meet`
+    rng = random.Random(2)
+    several = {False: 0, True: 0}
+    for _ in range(400):
+        width, count = rng.randint(1, 6), rng.randint(1, 12)
+        masks = [rng.randint(1, (1 << width) - 1) for _ in range(count)]
+        meet = rng.choice([None, None, 0, 1, 2])
+        planted = []
+        for j in rng.sample(range(count), rng.randint(0, count)):
+            if meet is None or all((masks[i] & masks[j]).bit_count() == meet for i in planted):
+                planted.append(j)
+        need = [sum(masks[j] >> b & 1 for j in planted) for b in range(width)]
+        holders = symmetric._holders(masks, width)
+        covers = symmetric._covers(masks, holders, need, (1 << count) - 1, meet)
+        covers = sorted(tuple(sorted(cover)) for cover in covers)
+        assert covers == sorted(exact_covers_brute(masks, need, meet))
+        several[meet is not None] += len(covers) > 1
+    assert min(several.values()) >= 20
 
 
 def test_rotational_triples_cover_every_pair_twice():

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import SingularLeadingMinor, gram_matrix, gram_schmidt_generic
+from oracles import SingularLeadingMinor, gram_matrix, gram_schmidt_generic, meet_classes_scan
 from tightdesigns.hamming import (
     BinaryWord,
     DegenerateGram,
@@ -11,6 +12,7 @@ from tightdesigns.hamming import (
     gram_closed_form,
     gram_schmidt_closed_form,
     krawtchouk,
+    meet_classes,
     shell_intersection,
 )
 
@@ -231,3 +233,17 @@ def test_binary_word_errors():
         BinaryWord.from_support(4, (5,))
     with pytest.raises(ValueError):
         BinaryWord.from_string("100").distance(BinaryWord.from_string("1000"))
+
+
+def test_meet_classes_match_the_popcount_scan():
+    rng = random.Random(15)
+    for _ in range(300):
+        width, count = rng.randint(1, 8), rng.randint(0, 40)
+        words = [rng.getrandbits(width) for _ in range(count)]
+        members = [sum(1 << j for j, word in enumerate(words) if word >> x & 1)
+                   for x in range(width)]
+        support = rng.sample(range(width), rng.randint(0, width))
+        everything = rng.choice([(1 << count) - 1, rng.getrandbits(count)])
+        classes = meet_classes(members, support, everything)
+        assert classes == meet_classes_scan(words, support, everything)
+        assert len(classes) == len(support) + 1
