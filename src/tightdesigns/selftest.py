@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from . import catalog, constructions, designs, feasibility, nonexistence, verify
-from .symmetric import symmetric_design
 from .hamming import binomial, shell_intersection
+from .symmetric import symmetric_design
 
 
 def run(out) -> bool:

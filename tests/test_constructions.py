@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from oracles import exact_covers_brute
-from tightdesigns import verify
+from tightdesigns import symmetric, verify
 from tightdesigns.constructions import (
     BadModulus,
     BadOrder,
@@ -25,7 +25,6 @@ from tightdesigns.constructions import (
     sylvester_hadamard,
 )
 from tightdesigns.designs import relation_profile, shells_of
-from tightdesigns import symmetric
 from tightdesigns.symmetric import rotational_triples, symmetric_design
 
 

@@ -321,7 +321,8 @@ def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
     design = construction_registry()[six.key][1]
     bad = WeightedDesign(design.n, design.points, (2 * design.weights[0],) + design.weights[1:])
     monkeypatch.setattr(nonexistence, "construction_registry", lambda: {six.key: ("bad", bad)})
-    with pytest.raises(RuntimeError, match="fails the moments, balanced, frame, weight constancy checks"):
+    with pytest.raises(RuntimeError,
+                       match="fails the moments, balanced, frame, weight constancy checks"):
         decide(six)
 
 
