@@ -27,11 +27,11 @@ def _generated(v: int, k: int, lam: int) -> constructions.SymmetricDesign:
 # k < v/2.  The splits of 2-(7,3,1), the plane of order 2 and paley[7], are
 # left out: they land on the rows of hadamard[m=3] and its twin.
 SYMMETRIC = (
-    *((f"plane[{q}]", q * q + q + 1, q + 1, partial(constructions.projective_plane, q))
+    *((f"plane[{q}]", q * q + q + 1, q + 1, partial(constructions.projective_geometry, 2, q))
       for q in (3, 4, 5)),
     *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
       for q in (11, 19, 23, 27, 31)),
-    ("sylvester[4]", 15, 7, partial(constructions.sylvester_hadamard, 4)),
+    ("sylvester[4]", 15, 7, partial(constructions.projective_geometry, 3, 2)),
     ("symmetric[16,6,2]", 16, 6, partial(_generated, 16, 6, 2)),
     ("symmetric[25,9,3]", 25, 9, partial(_generated, 25, 9, 3)),
     ("symmetric[31,10,3]", 31, 10, partial(_generated, 31, 10, 3)),

@@ -88,12 +88,14 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     try:
         if args.kind == "hadamard":
+            if args.m < 3:  # -1 % 4 == 3, and order 0 would pass as a power of two
+                raise constructions.BadOrder(f"m = {args.m} needs m >= 3")
             if args.m % 4 != 3:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
             design = constructions.hadamard_design(constructions.hadamard_of_order(args.m + 1))
         else:
             if args.plane is not None:
-                symmetric = constructions.projective_plane(args.plane)
+                symmetric = constructions.projective_geometry(2, args.plane)
             else:
                 symmetric = constructions.paley_design(args.paley)
             if args.complement:

@@ -6,8 +6,9 @@ H(n,2), both from a symmetric 2-design: pairing the blocks of a Hadamard
 pairs, and splitting a symmetric 2-(n+1, k, lambda) design at a base point.
 A Hadamard 2-design is a normalized Hadamard matrix of order m+1: border
 its +-1 incidence matrix with a row and a column of +1.  The input catalogs
-(Sylvester and Paley Hadamard 2-designs, projective planes) are generated
-from first principles rather than bundled.
+(Paley's Hadamard 2-designs, and the points and hyperplanes of PG(d, q),
+which give Sylvester's and the projective planes) are generated from first
+principles rather than bundled.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class BadOrder(ValueError):
 
 
 class UnsupportedOrder(ValueError):
-    """projective_plane only generates orders 2..5."""
+    """projective_geometry only generates PG(d, q) for d >= 1 and orders q in 2..5."""
 
 
 class HalfSizeBlock(ValueError):
@@ -150,18 +151,17 @@ class SymmetricDesign:
                 raise ValueError("two blocks meet in != lam points")
 
 
-def projective_plane(q: int) -> SymmetricDesign:
-    """The 2-(q^2+q+1, q+1, 1) design of points and lines of PG(2, q)."""
-    if q not in (2, 3, 4, 5):
-        raise UnsupportedOrder(f"order {q} not in 2..5")
+def projective_geometry(d: int, q: int) -> SymmetricDesign:
+    """The 2-(v, k, (k-1)/q) design of points and hyperplanes of PG(d, q): the
+    planes at d = 2, and at q = 2 Sylvester's (its +-1 incidence matrix, bordered
+    with +1, is Sylvester's Hadamard matrix of order 2^(d+1)).  Points are the
+    vectors of GF(q)^(d+1) with first nonzero coordinate 1, in lexicographic
+    order; x lies on a's hyperplane iff a.x = 0."""
+    if q not in (2, 3, 4, 5) or d < 1:
+        raise UnsupportedOrder(f"PG({d}, {q}) needs d >= 1 and an order q in 2..5")
     field = _Field(q)
-    points = []
-    for vec in product(field.elements, repeat=3):
-        lead = next((c for c in vec if c != field.zero), None)
-        if lead == field.one:  # normalized representative of a 1-d subspace
-            points.append(vec)
-    if len(points) != q * q + q + 1:
-        raise RuntimeError(f"PG(2,{q}) has {len(points)} points, not {q * q + q + 1}")
+    points = [vec for vec in product(field.elements, repeat=d + 1)
+              if next((c for c in vec if c != field.zero), None) == field.one]
 
     def dot(a, b):
         acc = field.zero
@@ -173,7 +173,8 @@ def projective_plane(q: int) -> SymmetricDesign:
         frozenset(i for i, x in enumerate(points) if dot(a, x) == field.zero)
         for a in points
     )
-    return SymmetricDesign(len(points), q + 1, 1, blocks)
+    k = len(blocks[0])
+    return SymmetricDesign(len(points), k, (k - 1) // q, blocks)
 
 
 def paley_design(q: int) -> SymmetricDesign:
@@ -187,23 +188,6 @@ def paley_design(q: int) -> SymmetricDesign:
         frozenset(index[field.add(s, g)] for s in squares) for g in field.elements
     )
     return SymmetricDesign(q, (q - 1) // 2, (q - 3) // 4, blocks)
-
-
-def sylvester_hadamard(k: int) -> SymmetricDesign:
-    """The 2-(2^k-1, 2^(k-1)-1, 2^(k-2)-1) design of points and hyperplanes of PG(k-1, 2).
-
-    Points and blocks are the nonzero x and a of GF(2)^k, and x lies in
-    block a iff popcount(a & x) is even; bordered with +1, its +-1
-    incidence matrix is Sylvester's Hadamard matrix of order 2^k.
-    """
-    if k < 2:
-        raise BadOrder(f"Sylvester's Hadamard 2-design needs k >= 2, got k = {k}")
-    v = 2**k - 1
-    blocks = tuple(
-        frozenset(x - 1 for x in range(1, v + 1) if (a & x).bit_count() % 2 == 0)
-        for a in range(1, v + 1)
-    )
-    return SymmetricDesign(v, (v - 1) // 2, (v - 3) // 4, blocks)
 
 
 def complement_design(design: SymmetricDesign) -> SymmetricDesign:
@@ -292,7 +276,7 @@ def hadamard_of_order(order: int) -> SymmetricDesign:
     """The Hadamard 2-design whose bordered incidence matrix has this order:
     Sylvester's when it is a power of two, else Paley's on GF(order - 1)."""
     if order & (order - 1) == 0:
-        return sylvester_hadamard(order.bit_length() - 1)
+        return projective_geometry(order.bit_length() - 2, 2)
     return paley_design(order - 1)
 
 

@@ -5,9 +5,11 @@ the per-point incidence counts that the design conditions force and, in
 closed form from those, the per-pair counts (inclusion-exclusion fixes the
 avoid count, the covering identity pairs the two shells' contain counts).
 It then refutes by (in order): non-integral point counts, an empty
-pair-count system, counting contradictions, and finally an exhaustive
-search for a single shell's block configuration.  A refutation from any one
-shell is conclusive since all constraints are necessary conditions.
+pair-count system, a count forced to 0, the first two moments of the
+shell-1 contain counts, and finally an exhaustive search for a single
+shell's block configuration (on 6..200 at budget 50000 it refutes nothing
+more).  A refutation from any one shell is conclusive since all constraints
+are necessary conditions.
 """
 
 from __future__ import annotations
@@ -138,11 +140,15 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
     Every per-pair count is an affine image of contain1 (y_i = N_i -
     2 lambda^(i)_1 + x_i, x_2 = (lambda_2 - x_1)/w), so a count is forced only
     when exactly one tuple is admissible.  A forced count of 0 contradicts a
-    shell whose blocks contain (or miss) pairs at all.  Summed over all C(n,2)
-    pairs, contain1 must give N_1 C(r_1, 2), which therefore lies between
-    C(n,2) times its least and its greatest admissible value.  The other three
-    sums need no test, as C(n,2) lambda_2 = N_1 C(r_1, 2) + w N_2 C(r_2, 2) and
-    n lambda^(i)_1 = N_i r_i make each hold exactly when that one does.
+    shell whose blocks contain (or miss) pairs at all.  Then the moments of a
+    pair's contain1 count x, with admissible values D from lo to hi, over all
+    C(n,2) pairs, with m_1 = r_1 - alpha_1/2 the meet of two shell-1 blocks:
+    1. sum x = N_1 C(r_1, 2) counts (pair, block): first, lo C(n,2) <= sum x <= hi C(n,2);
+    2. sum x^2 = N_1 C(r_1, 2) + N_1 (N_1 - 1) C(m_1, 2) counts (pair, ordered block pair);
+    3. (x-a)(x-b) >= 0 for consecutive a < b of D and (x-lo)(x-hi) <= 0, so by
+       1 and 2 their sums sum x^2 - (a+b) sum x + ab C(n,2) have these signs too.
+    Shell 2's counts are (lambda_2 - x)/w, and its two moment identities are
+    the images of shell 1's (tested on 6..200): it needs no test of its own.
     """
     if not solutions:
         raise ValueError("counting_filters needs a nonempty solution set")
@@ -162,8 +168,8 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
                     f"shell {shell}: every pair is forced to {kind} count 0, but each of "
                     f"the {blocks} blocks yields {per_block} such pairs",
                 )
-    low = min(s.contain1 for s in solutions)
-    high = max(s.contain1 for s in solutions)
+    values = sorted({s.contain1 for s in solutions})
+    low, high = values[0], values[-1]
     total = row.n1 * binomial(row.r1, 2)
     if not low * pairs <= total <= high * pairs:
         if low == high:
@@ -174,6 +180,14 @@ def counting_filters(row: ParameterRow, solutions) -> Verdict:
                      f"but it must be")
         return Verdict("refuted", CAUSE_PAIR_DEGREE_SUM,
                        f"shell 1: {trace} {row.n1}*{binomial(row.r1, 2)} = {total}")
+    squares = total + row.n1 * (row.n1 - 1) * binomial(row.r1 - row.alpha1 // 2, 2)
+    for a, b, sign in (*((a, b, 1) for a, b in zip(values, values[1:])), (low, high, -1)):
+        moment = squares - (a + b) * total + a * b * pairs
+        if sign * moment < 0:
+            return Verdict("refuted", CAUSE_PAIR_DEGREE_SUM, (
+                f"shell 1: contain counts lie in {{{', '.join(map(str, values))}}}, but over "
+                f"the C({n},2) = {pairs} pairs sum (x-{a})(x-{b}) = {squares} - {a + b}*{total}"
+                f" + {a * b}*{pairs} = {moment} {'<' if sign > 0 else '>'} 0"))
     return Verdict("undecided", detail="counting filters passed")
 
 

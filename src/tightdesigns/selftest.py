@@ -21,7 +21,7 @@ def run(out) -> bool:
     )
     report("shell_intersection row sums", passed)
 
-    fano = constructions.projective_plane(2)
+    fano = constructions.projective_geometry(2, 2)
     built = constructions.from_symmetric_residual(fano)
     passed = (
         all(result.ok for result in verify.full_check(built))
@@ -30,7 +30,7 @@ def run(out) -> bool:
     )
     report("residual of the Fano plane verifies end to end", passed)
 
-    had = constructions.hadamard_design(constructions.sylvester_hadamard(2))
+    had = constructions.hadamard_design(constructions.projective_geometry(1, 2))
     passed = all(result.ok for result in verify.full_check(had))
     report("hadamard pairing m=3 verifies", passed)
 

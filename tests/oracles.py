@@ -1,14 +1,16 @@
 """Generic exact linear algebra, the exhaustive row enumeration, the
 two-equation solve for the point counts, the degree-2 moment solve for the
-per-pair counts, the per-pattern compatibility scan, the popcount scan of
-meets and the subset enumeration of exact covers, kept as test oracles for
-the closed forms, the divisibility-driven enumeration, the meet recurrence
-and the symmetric-design generator's exact cover.
+per-pair counts, an exhaustive integer solve of the pair-count moments, the
+per-pattern compatibility scan, the popcount scan of meets and the subset
+enumeration of exact covers, kept as test oracles for the closed forms, the
+divisibility-driven enumeration, the moment rule, the meet recurrence and the
+symmetric-design generator's exact cover.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.feasibility.enumerate_rows`,
 `tightdesigns.nonexistence.point_lambdas`,
-`tightdesigns.nonexistence.pair_lambda_solutions`, the compatibility rows
+`tightdesigns.nonexistence.pair_lambda_solutions`, the moment rule of
+`tightdesigns.nonexistence.counting_filters`, the compatibility rows
 of `tightdesigns.nonexistence._pattern_search`,
 `tightdesigns.hamming.meet_classes` and `tightdesigns.symmetric._covers`
 replace them, and the tests compare the two.
@@ -107,6 +109,49 @@ def pair_lambda_solutions_moment(row) -> tuple:
                 if y2_exact.denominator == 1 and 0 <= y2_exact <= row.n2 - x2:
                     solutions.append(PairLambdaSolution(x1, y1, x2, int(y2_exact)))
     return tuple(sorted(solutions))
+
+
+def moment_counts_exhaustive(values, pairs, first, second):
+    """Nonnegative integers c_v, one per v in sorted `values`, with
+    sum c_v = pairs, sum c_v v = first and sum c_v v^2 = second, or None.
+
+    Every count of each value past the three least is tried; the three least
+    then have at most one solution, by Lagrange interpolation on the moments:
+    c_v = sum_v' c_v' prod_{u != v} (v' - u) / prod_{u != v} (v - u).
+    """
+    values = sorted(values)
+    fixed, free = values[:3], values[3:]
+
+    def solve(left, s1, s2):
+        moments = (left, s1, s2)
+        counts = []
+        for v in fixed:
+            poly, den = [1], 1  # prod (x - u) over the other fixed u, low degree first
+            for u in fixed:
+                if u != v:
+                    poly = [a - u * b for a, b in zip([0] + poly, poly + [0])]
+                    den *= v - u
+            num = sum(c * m for c, m in zip(poly, moments))
+            if num % den or num // den < 0:
+                return None
+            counts.append(num // den)
+        if any(sum(c * v ** e for c, v in zip(counts, fixed)) != m
+               for e, m in enumerate(moments)):
+            return None
+        return counts
+
+    def search(chosen, left, s1, s2):
+        if len(chosen) == len(free):
+            counts = solve(left, s1, s2)
+            return None if counts is None else counts + chosen
+        v = free[len(chosen)]
+        for count in range(min(left, s1 // v) + 1):
+            found = search(chosen + [count], left - count, s1 - count * v, s2 - count * v * v)
+            if found is not None:
+                return found
+        return None
+
+    return search([], pairs, first, second)
 
 
 def compatibility_rows_scan(patterns, domain, degree) -> list[int]:

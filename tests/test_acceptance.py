@@ -94,10 +94,10 @@ def test_criterion_2_constructions_verified():
         _match_reference(design, failures, label)
 
     sources = [
-        ("2-(7,3,1)", constructions.projective_plane(2)),
+        ("2-(7,3,1)", constructions.projective_geometry(2, 2)),
         ("2-(11,5,2)", constructions.paley_design(11)),
-        ("2-(13,4,1)", constructions.projective_plane(3)),
-        ("2-(21,5,1)", constructions.projective_plane(4)),
+        ("2-(13,4,1)", constructions.projective_geometry(2, 3)),
+        ("2-(21,5,1)", constructions.projective_geometry(2, 4)),
         ("2-(23,11,5)", constructions.paley_design(23)),
     ]
     sources += [
@@ -268,8 +268,9 @@ def small_constructions():
     the complemented split of the planes of orders 2 and 3 and of paley[7]
     and paley[11].  The registry serves 8 of these 18 designs; the others lie
     on rows it serves by another construction, so they are built here."""
-    designs = [constructions.hadamard_design(constructions.sylvester_hadamard(2))]
-    for symmetric in (constructions.projective_plane(2), constructions.projective_plane(3),
+    designs = [constructions.hadamard_design(constructions.projective_geometry(1, 2))]
+    for symmetric in (constructions.projective_geometry(2, 2),
+                      constructions.projective_geometry(2, 3),
                       constructions.paley_design(7), constructions.paley_design(11)):
         designs.append(constructions.from_symmetric_residual(symmetric))
         designs.append(constructions.from_symmetric_complemented(symmetric))

@@ -157,9 +157,9 @@ CATALOG_ROWS = {14: (2, 3), 15: (1, 2, 3, 4), 24: (1, 2, 3, 4), 30: (10, 11, 14,
 # sha256 over the exit code and stdout of each `decide ... --format json` below:
 # every other row of 6..30; 34(2), whose two shells both stop in mid-search at
 # budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1, 2, 6, 8)
-# refuted by the range of the shell-1 pair sum, 40 exhausted after 0 nodes, 44(3)
-# and 44(5) after 870 nodes
-SEARCH_SHA256 = "ceaed85d94965a8256e4e35ec37b4b5b1aa926dc3992a6cd249318fb72af90bf"
+# refuted by the range of the shell-1 pair sum, 28(3, 5), 40(1, 2, 6, 8) and
+# 44(3, 5) by its second moment
+SEARCH_SHA256 = "611876ef2a578372037e52f15e926243262a74f594eec4772cb5a880f336c0e8"
 SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 31) if n not in CATALOG_ROWS]
                 + [["--n", str(n), "--row-index", str(i)] for n, rows in ((14, 4), (30, 26))
                    for i in range(1, rows + 1) if i not in CATALOG_ROWS[n]]
@@ -292,7 +292,7 @@ def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):
 
 
 def hadamard_six():
-    return constructions.hadamard_design(constructions.sylvester_hadamard(2))
+    return constructions.hadamard_design(constructions.projective_geometry(1, 2))
 
 
 TWO_SHELL_PASS = """\
@@ -447,8 +447,8 @@ def test_construct_symmetric_output_is_pinned(capsys, tmp_path, source, q):
     assert digest.hexdigest() == CONSTRUCT_SHA256[source, q]
 
 
-# sha256 of the file `construct hadamard --m M` writes: Sylvester for
-# m + 1 a power of two, Paley otherwise
+# sha256 of the file `construct hadamard --m M` writes: Sylvester's, the
+# hyperplanes of PG(d, 2), for m + 1 = 2^(d+1), Paley otherwise
 HADAMARD_SHA256 = {
     3: "5154cf2e7d7f40fb3d33276ecf17223a62afe3531842cb558a8e5632c857b608",
     7: "cc70b878640e62d8dc43bfbeaa312fd98137829baae796f5ce6328ebe4d7bf66",
@@ -460,6 +460,8 @@ HADAMARD_SHA256 = {
     31: "cab689b9cf630f2e002fe07fe204cbf0eac629a9a2bacd49cef339e289fd3284",
 }
 HADAMARD_ERRORS = {
+    -5: "error: m = -5 needs m >= 3\n",  # -5 % 4 == 3
+    -1: "error: m = -1 needs m >= 3\n",  # m + 1 = 0 would pass as a power of two
     4: "error: m = 4 needs m = 3 (mod 4)\n",
     35: "error: need an odd prime power q = 3 (mod 4), got 35\n",
 }

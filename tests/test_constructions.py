@@ -21,8 +21,7 @@ from tightdesigns.constructions import (
     hadamard_of_order,
     known_designs,
     paley_design,
-    projective_plane,
-    sylvester_hadamard,
+    projective_geometry,
 )
 from tightdesigns.designs import relation_profile, shells_of
 from tightdesigns.symmetric import rotational_triples, symmetric_design
@@ -44,8 +43,8 @@ def shell_summary(design):
 
 
 def test_sylvester_orders():
-    # SymmetricDesign validates all invariants on build
-    parameters = [(d.v, d.k, d.lam) for d in map(sylvester_hadamard, range(2, 6))]
+    # PG(k-1, 2) for k = 2..5; SymmetricDesign validates all invariants on build
+    parameters = [(d.v, d.k, d.lam) for d in (projective_geometry(k - 1, 2) for k in range(2, 6))]
     assert parameters == [(3, 1, 0), (7, 3, 1), (15, 7, 3), (31, 15, 7)]
 
 
@@ -68,23 +67,24 @@ def test_hadamard_design_parameters(m, ratio, expected):
 
 
 def test_hadamard_design_bad_order():
+    with pytest.raises(UnsupportedOrder):
+        projective_geometry(0, 2)  # order 2, m = 1: PG(0, 2) is a lone point
     with pytest.raises(BadOrder):
-        hadamard_design(sylvester_hadamard(1))  # order 2, m = 1
-    with pytest.raises(BadOrder):
-        hadamard_design(projective_plane(3))  # 2-(13,4,1) is not a Hadamard 2-design
+        hadamard_design(projective_geometry(2, 3))  # 2-(13,4,1) is not a Hadamard 2-design
     with pytest.raises(BadOrder):
         hadamard_design(complement_design(paley_design(7)))  # 2-(7,4,2): m = 7, k != 3
 
 
 @pytest.mark.parametrize("q, v, k, lam", [(2, 7, 3, 1), (3, 13, 4, 1), (4, 21, 5, 1), (5, 31, 6, 1)])
 def test_projective_planes(q, v, k, lam):
-    plane = projective_plane(q)  # SymmetricDesign validates all invariants on build
+    plane = projective_geometry(2, q)  # SymmetricDesign validates all invariants on build
     assert (plane.v, plane.k, plane.lam) == (v, k, lam)
 
 
 def test_projective_plane_unsupported():
-    with pytest.raises(UnsupportedOrder):
-        projective_plane(7)
+    for d, q in ((2, 7), (2, 1), (0, 3), (-2, 2)):
+        with pytest.raises(UnsupportedOrder, match=rf"PG\({d}, {q}\)"):
+            projective_geometry(d, q)
 
 
 @pytest.mark.parametrize("q, v, k, lam", [(7, 7, 3, 1), (11, 11, 5, 2), (23, 23, 11, 5), (27, 27, 13, 6)])
@@ -109,7 +109,7 @@ def test_paley_design_bad_modulus():
     ],
 )
 def test_complement_design(source, expected):
-    base = paley_design(source[0]) if source[0] in (7, 11) else projective_plane(3)
+    base = paley_design(source[0]) if source[0] in (7, 11) else projective_geometry(2, 3)
     image = complement_design(base)
     assert (image.v, image.k, image.lam) == expected
 
@@ -121,17 +121,18 @@ def test_complement_design_degenerate():
 
 
 def test_symmetric_design_validation():
+    fano = projective_geometry(2, 2).blocks
     with pytest.raises(ValueError):
-        SymmetricDesign(7, 3, 2, projective_plane(2).blocks)  # wrong lambda
+        SymmetricDesign(7, 3, 2, fano)  # wrong lambda
     with pytest.raises(ValueError):
-        SymmetricDesign(7, 3, 1, projective_plane(2).blocks[:6] + (frozenset({0, 1, 2}),))
+        SymmetricDesign(7, 3, 1, fano[:6] + (frozenset({0, 1, 2}),))
 
 
 @pytest.mark.parametrize(
     "make_source, expected",
     [
-        (lambda: projective_plane(2), (2, 3, 3, 4)),           # Fano split
-        (lambda: projective_plane(3), (3, 4, 4, 9)),
+        (lambda: projective_geometry(2, 2), (2, 3, 3, 4)),  # Fano split
+        (lambda: projective_geometry(2, 3), (3, 4, 4, 9)),
         (lambda: paley_design(11), (4, 5, 5, 6)),
     ],
 )
@@ -143,7 +144,7 @@ def test_from_symmetric_residual(make_source, expected):
 
 
 def test_from_symmetric_residual_counts():
-    source = projective_plane(3)
+    source = projective_geometry(2, 3)
     design = from_symmetric_residual(source)
     balanced = verify.balanced_check(design, 2)
     # with unit weights the covering constants are the replication and pair counts
@@ -154,8 +155,8 @@ def test_from_symmetric_residual_counts():
 @pytest.mark.parametrize(
     "make_source, expected",
     [
-        (lambda: projective_plane(3), (4, 9, 9, 4)),
-        (lambda: projective_plane(2), (3, 4, 4, 3)),
+        (lambda: projective_geometry(2, 3), (4, 9, 9, 4)),
+        (lambda: projective_geometry(2, 2), (3, 4, 4, 3)),
     ],
 )
 def test_from_symmetric_complemented(make_source, expected):
@@ -172,7 +173,7 @@ def test_from_symmetric_complemented_half_size():
 
 
 def test_base_point_choice_is_isomorphic():
-    plane = projective_plane(2)
+    plane = projective_geometry(2, 2)
     for base in (0, 3, 6):
         design = from_symmetric_residual(plane, base_point=base)
         assert shell_summary(design) == (2, 3, 3, 4, 1)

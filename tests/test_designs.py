@@ -19,11 +19,11 @@ from tightdesigns.hamming import BinaryWord
 
 
 def hadamard_six():
-    return constructions.hadamard_design(constructions.sylvester_hadamard(2))
+    return constructions.hadamard_design(constructions.projective_geometry(1, 2))
 
 
 def hadamard_fourteen():
-    return constructions.hadamard_design(constructions.sylvester_hadamard(3))
+    return constructions.hadamard_design(constructions.projective_geometry(2, 2))
 
 
 def test_model_validation():

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     compatibility_rows_scan,
+    moment_counts_exhaustive,
     pair_lambda_solutions_moment,
     point_lambdas_two_equation,
 )
@@ -178,6 +179,65 @@ def test_pair_sum_range_refutes_rows_the_search_reached():
         "shell 1: contain count forced to 2, but 2*C(56,2) = 3080 != 8*91 = 728")
 
 
+def pair_count_moments(r, shell):
+    """(sum x, sum x^2) of shell i's contain counts over the C(n,2) pairs:
+    (pair, block) and (pair, ordered block pair) incidences."""
+    blocks, size, alpha = (r.n1, r.r1, r.alpha1) if shell == 1 else (r.n2, r.r2, r.alpha2)
+    first = blocks * binomial(size, 2)
+    return first, first + blocks * (blocks - 1) * binomial(size - alpha // 2, 2)
+
+
+def test_moment_rule_is_the_integer_moment_problem():
+    # on every row of 6..200 with at most 4 admissible contain1 values, the
+    # filters refute exactly when no nonnegative integer counts c_v (the pairs
+    # with contain1 = v) give the pair total and both moments
+    checked = past_first = 0
+    for r in enumerate_rows(6, 200):
+        solutions = pair_lambda_solutions(r)
+        values = sorted({s.contain1 for s in solutions})
+        if not 1 <= len(values) <= 4:
+            continue
+        pairs, (first, second) = binomial(r.n, 2), pair_count_moments(r, 1)
+        counts = moment_counts_exhaustive(values, pairs, first, second)
+        assert counting_filters(r, solutions).refuted == (counts is None), r.key
+        checked += 1
+        past_first += values[0] * pairs <= first <= values[-1] * pairs
+    assert (checked, past_first) == (1944, 672)
+
+
+def test_shell_2_moments_are_the_image_of_shell_1s():
+    # shell 2's contain count is (lambda_2 - x)/w for shell 1's x, so testing
+    # shell 1 suffices when shell 2's two moment identities are the images of
+    # shell 1's: checked on every row of 6..200 with integral point counts
+    checked = 0
+    for r in enumerate_rows(6, 200):
+        if not isinstance(point_lambdas(r), PointLambdas):
+            continue
+        pairs, (first, second) = binomial(r.n, 2), pair_count_moments(r, 1)
+        image = ((r.lambda2 * pairs - first) / r.w,
+                 (r.lambda2 ** 2 * pairs - 2 * r.lambda2 * first + second) / r.w ** 2)
+        assert image == pair_count_moments(r, 2), r.key
+        checked += 1
+    assert checked == 2604
+
+
+def test_moment_rule_refutes_what_the_search_exhausted():
+    # 28(3) and 28(5) were refuted by an exhausted search, 58(3) and 58(6)
+    # left undecided at budget 50000
+    assert decide(row(28, 3)).detail == (
+        "shell 1: contain counts lie in {0, 3}, but over the C(28,2) = 378 pairs "
+        "sum (x-0)(x-3) = 1008 - 3*588 + 0*378 = -756 < 0")
+    assert decide(enumerate_rows(58, 58)[2], budget=50_000).detail == (
+        "shell 1: contain counts lie in {0, 4, 8}, but over the C(58,2) = 1653 pairs "
+        "sum (x-0)(x-4) = 8352 - 4*3480 + 0*1653 = -5568 < 0")
+    for n, indices in ((28, (5,)), (40, (1, 2, 6, 8)), (44, (3, 5)), (45, (3, 4, 6, 7)),
+                       (55, (7, 8, 15, 16)), (58, (6,))):
+        rows = enumerate_rows(n, n)
+        for index in indices:
+            verdict = decide(rows[index - 1], budget=50_000)
+            assert verdict.refuted and verdict.cause == CAUSE_PAIR_DEGREE_SUM, (n, index)
+
+
 def test_counting_filters_needs_solutions():
     with pytest.raises(ValueError):
         counting_filters(row(6, 1), ())
@@ -234,9 +294,11 @@ class _SetUp(Exception):
 
 
 def test_compatibility_rows_and_block_bitsets_match_the_scan(monkeypatch):
-    # every shell problem of 6..40 past the counting filters with at most 5,000
-    # patterns, as the search poses it (blocks over half the ground set
-    # complemented); twin rows and shells that pose the same problem run once
+    # every shell problem of 6..40 past the lone-tuple and first-moment tests with
+    # at most 5,000 patterns, as the search poses it (blocks over half the ground
+    # set complemented); twin rows and shells that pose the same problem run
+    # once.  The second moment refutes 28(3) and 40(1) too, but the search
+    # still sets up their problems when called on them
     captured = {}
 
     def capture(cap, covers, item_patterns, compat, budget):
@@ -247,7 +309,10 @@ def test_compatibility_rows_and_block_bitsets_match_the_scan(monkeypatch):
     problems = {}
     for r in enumerate_rows(6, 40):
         solutions = pair_lambda_solutions(r)
-        if not solutions or counting_filters(r, solutions).refuted:
+        if not solutions or counting_filters(r, solutions).cause == CAUSE_ZERO_PAIR_DEGREE:
+            continue
+        pairs, values = binomial(r.n, 2), [s.contain1 for s in solutions]
+        if not min(values) * pairs <= pair_count_moments(r, 1)[0] <= max(values) * pairs:
             continue
         for shell in (1, 2):
             n_blocks, size, meet, degree, domain = nonexistence._shell_parameters(

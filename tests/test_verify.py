@@ -33,11 +33,11 @@ from tightdesigns.verify import (
 
 
 def six_design():
-    return constructions.hadamard_design(constructions.sylvester_hadamard(2))
+    return constructions.hadamard_design(constructions.projective_geometry(1, 2))
 
 
 def fourteen_design():
-    return constructions.hadamard_design(constructions.sylvester_hadamard(3))
+    return constructions.hadamard_design(constructions.projective_geometry(2, 2))
 
 
 def full_shell(n, r, weight=Fraction(1)):
