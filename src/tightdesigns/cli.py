@@ -88,11 +88,14 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     try:
         if args.kind == "hadamard":
-            if args.m < 3:  # -1 % 4 == 3, and order 0 would pass as a power of two
+            if args.m < 3:  # -1 % 4 == 3
                 raise constructions.BadOrder(f"m = {args.m} needs m >= 3")
             if args.m % 4 != 3:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
-            design = constructions.hadamard_design(constructions.hadamard_of_order(args.m + 1))
+            # Sylvester's when m + 1 is a power of two, else Paley's, whose error names m
+            symmetric = (constructions.hadamard_of_order(args.m + 1) if args.m & (args.m + 1) == 0
+                         else constructions.paley_design(args.m))
+            design = constructions.hadamard_design(symmetric)
         else:
             if args.plane is not None:
                 symmetric = constructions.projective_geometry(2, args.plane)

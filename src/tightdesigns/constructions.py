@@ -274,10 +274,16 @@ def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) ->
 
 def hadamard_of_order(order: int) -> SymmetricDesign:
     """The Hadamard 2-design whose bordered incidence matrix has this order:
-    Sylvester's when it is a power of two, else Paley's on GF(order - 1)."""
-    if order & (order - 1) == 0:
-        return projective_geometry(order.bit_length() - 2, 2)
-    return paley_design(order - 1)
+    Sylvester's when it is a power of two, else Paley's on GF(order - 1).
+    Raises BadOrder, naming the order, when it is below 4, not divisible by 4,
+    or neither a power of two nor p^k + 1 (then p^k = 3 (mod 4))."""
+    if order >= 4 and order % 4 == 0:
+        if order & (order - 1) == 0:
+            return projective_geometry(order.bit_length() - 2, 2)
+        if _prime_power(order - 1) is not None:
+            return paley_design(order - 1)
+    raise BadOrder(f"cannot build a Hadamard 2-design of order {order}: Sylvester's needs "
+                   "a power of two >= 4, Paley's p^k + 1 with p^k = 3 (mod 4)")
 
 
 def known_designs() -> list[tuple[str, WeightedDesign]]:

@@ -108,7 +108,10 @@ def shell_intersection(n: int, j: int, r: int, nu: int) -> int:
 def meet_classes(members, support, everything: int) -> list[int]:
     """Entry i: the words of `everything` meeting `support` in i coordinates,
     members[x] being the bitset of the words on coordinate x.  The meet
-    recurrence moves the words on each coordinate of `support` up one class."""
+    recurrence moves the words on each coordinate of `support` up one class.
+    Three users: the search's compatibility rows (nonexistence), the exact cover
+    of the symmetric-design generator (symmetric), and the weighted sums of the
+    moment, balance and frame checks (verify)."""
     exactly = [everything]
     for x in support:
         bits = members[x]

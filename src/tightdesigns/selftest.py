@@ -30,6 +30,12 @@ def run(out) -> bool:
     )
     report("residual of the Fano plane verifies end to end", passed)
 
+    doubled = designs.WeightedDesign(built.n, built.points,
+                                     (2 * built.weights[0],) + built.weights[1:])
+    failed = {result.name for result in verify.full_check(doubled) if not result.ok}
+    report("the same with one weight doubled fails moments, balance and frame",
+           {"moments", "balanced", "frame"} <= failed)
+
     had = constructions.hadamard_design(constructions.projective_geometry(1, 2))
     passed = all(result.ok for result in verify.full_check(had))
     report("hadamard pairing m=3 verifies", passed)

@@ -1,10 +1,15 @@
 """Design verification: the two design criteria, tightness, and the frame identity.
 
-Two independent criteria decide whether a weighted set is a relative
-t-design: the moment criterion (weighted sums of eigenfunction values equal
-their shell averages) and the balance criterion (weighted counts of points
-covering a fixed j-subset are constant per j).  They agree on H(n,2);
-the test suite checks that equivalence on a corpus.
+Two criteria decide whether a weighted set is a relative t-design: the
+moment criterion (weighted sums of eigenfunction values equal their shell
+averages) and the balance criterion (weighted counts of points covering a
+fixed j-subset are constant per j).  They agree on H(n,2); the test suite
+checks that equivalence on a corpus.  They differ in what they sum but share
+one counting path with the frame identity: for a word u of weight j each sum
+depends on a point y only through |y| and |u ∩ y|, so `_sums` counts the
+points by Hamming weight, design weight and meet size with
+`hamming.meet_classes`.  The independent reference is the test suite's
+direct point-by-point sums.
 """
 
 from __future__ import annotations
@@ -12,15 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional
 
 from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
-from .hamming import (
-    BinaryWord,
-    binomial,
-    gram_closed_form,
-    krawtchouk,
-)
+from .hamming import BinaryWord, binomial, gram_closed_form, krawtchouk, meet_classes
 
 
 class NotTight(ValueError):
@@ -73,19 +74,32 @@ def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     return totals
 
 
-def _weight_groups(design: WeightedDesign, t: int) -> dict[Fraction, list[int]]:
-    """The points' bit masks grouped by weight value; raises ValueError unless 0 <= t <= n."""
-    if not 0 <= t <= design.n:
-        raise ValueError(f"t={t} outside 0..{design.n}")
-    groups: dict[Fraction, list[int]] = {}
-    for y, w in zip(design.points, design.weights):
-        groups.setdefault(w, []).append(y.bits)
-    return groups
+def _sums(design: WeightedDesign, j: int, f):
+    """For every word u of weight j, in `combinations` order: its support and
+    sum_y w(y) f(|y|, |u ∩ y|).
 
-
-def _words_of_weight(n: int, j: int):
+    Points of equal (|y|, w_y) form one bitset, which `meet_classes` splits by meet
+    size; f is evaluated once per class and meet size a point of that weight can
+    have, max(0, r + j - n) <= i <= min(r, j).  With the weights on one common
+    denominator every sum is an integer, and one Fraction is made per word.
+    """
+    n = design.n
+    denominator = lcm(*(w.denominator for w in design.weights))
+    classes: dict[tuple[int, Fraction], int] = {}
+    members = [0] * (n + 1)  # members[x]: the points with coordinate x set
+    for index, (y, w) in enumerate(zip(design.points, design.weights)):
+        classes[y.weight, w] = classes.get((y.weight, w), 0) | 1 << index
+        for x in range(1, n + 1):
+            if y.bits >> (x - 1) & 1:
+                members[x] |= 1 << index
+    terms = [(mask, i, int(w * denominator) * f(r, i))
+             for (r, w), mask in classes.items()
+             for i in range(max(0, r + j - n), min(r, j) + 1)]
+    everything = (1 << design.size) - 1
     for support in combinations(range(1, n + 1), j):
-        yield BinaryWord.from_support(n, support)
+        exactly = meet_classes(members, support, everything)
+        total = sum(c * (mask & exactly[i]).bit_count() for mask, i, c in terms)
+        yield support, Fraction(total, denominator)
 
 
 def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
@@ -99,42 +113,38 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     the relative t-design condition, since these functions span the degree-j
     eigenspace.  The inner nu sum is Q_r(j) Q_j(j) in closed form: it equals
     sum_{x in X_r} Q_j(d(u,x)) = sum_{|v|=j} (-1)^{v.u} sum_{x in X_r} (-1)^{v.x},
-    and the last sum is Q_r(|v|).
+    and the last sum is Q_r(|v|).  A point of weight r meeting u in i
+    coordinates lies at distance r + j - 2i.
     """
     n = design.n
-    # Q_j values are integers: sum them per weight value, then weight each sum once
-    groups = _weight_groups(design, t)
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
     totals = _shell_weights(design)
     for j in range(t + 1):
         q = [krawtchouk(n, j, nu) for nu in range(n + 1)]
         rhs = Fraction(0)
         for r, W in totals.items():
             rhs += W * Fraction(krawtchouk(n, r, j) * q[j], binomial(n, r))
-        for u in _words_of_weight(n, j):
-            lhs = sum(
-                w * sum(q[(u.bits ^ y).bit_count()] for y in ys) for w, ys in groups.items()
-            )
+        for support, lhs in _sums(design, j, lambda r, i: q[r + j - 2 * i]):
             if lhs != rhs:
-                return MomentsReport(t, False, (j, u, lhs, rhs))
+                return MomentsReport(t, False, (j, BinaryWord.from_support(n, support), lhs, rhs))
     return MomentsReport(t, True, None)
 
 
 def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
-    """Check that sum of w(y) over points with support containing u is constant per |u|."""
+    """Check that sum of w(y) over points with support containing u, the points
+    meeting u in all |u| coordinates, is constant per |u|."""
     n = design.n
-    # count covering points per weight value, then weight each count once
-    groups = _weight_groups(design, t)
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
     lambdas = []
     for j in range(t + 1):
         expected: Optional[Fraction] = None
-        for u in _words_of_weight(n, j):
-            covered = sum(
-                (w * sum(1 for y in ys if y & u.bits == u.bits) for w, ys in groups.items()),
-                Fraction(0),
-            )
+        for support, covered in _sums(design, j, lambda r, i: int(i == j)):
             if expected is None:
                 expected = covered
             elif covered != expected:
+                u = BinaryWord.from_support(n, support)
                 return BalancedReport(t, False, None, (j, u, covered))
         lambdas.append(expected)
     return BalancedReport(t, True, tuple(lambdas), None)
@@ -178,41 +188,23 @@ def frame_check(design: WeightedDesign) -> bool:
     identity E^T G^{-1} E = W^{-1} follows: G is positive definite (see tightness_check)
     and E is square, so E W E^T = G makes E invertible and W^{-1} = E^T G^{-1} E.
 
-    With phi_s(y) = p_y + 4*y_s and p_y = n - 2|y| - 2, every entry of E W E^T is a
-    sum over classes of points with equal (|y|, w_y) of integer counts: the class
-    size, the points with y_s = 1, and those with y_s = y_t = 1, each a popcount of
-    per-coordinate bit-mask columns.
+    With phi_s(y) = p + 4*y_s and p = n - 2|y| - 2, every entry of E W E^T is a
+    weighted sum over the points of a function of |y| and i = |u ∩ y|: for u = {}
+    the constant 1 (the phi_0 entry), for u = {s} p + 4i and (p + 4i)^2 (the
+    phi_s-phi_0 and phi_s-phi_s entries), and for u = {s, t} p^2 + 4pi + 16[i = 2]
+    (the phi_s-phi_t entries, since y_s y_t = [i = 2]).
     """
     n = design.n
     gram = _two_shell_gram(design)
     if design.size != n + 1:
         raise NotTight(f"|Y| = {design.size} != n+1 = {n + 1}")
-    classes: dict[tuple[int, Fraction], int] = {}
-    columns = [0] * n
-    for i, (y, w) in enumerate(zip(design.points, design.weights)):
-        classes[y.weight, w] = classes.get((y.weight, w), 0) | 1 << i
-        for s in range(n):
-            if y.bits >> s & 1:
-                columns[s] |= 1 << i
-    terms = []  # (w, p, class mask, class size, per-coordinate counts)
-    for (weight, w), mask in classes.items():
-        along = [(mask & col).bit_count() for col in columns]
-        terms.append((w, n - 2 * weight - 2, mask, mask.bit_count(), along))
-    if sum(w * size for w, _, _, size, _ in terms) != gram.weight_sum:
-        return False
-    for s in range(n):
-        if sum(w * (p * size + 4 * along[s]) for w, p, _, size, along in terms) != gram.d0:
-            return False
-        for t in range(s, n):
-            both = columns[s] & columns[t]
-            value = sum(
-                w * (p * p * size + 4 * p * (along[s] + along[t])
-                     + 16 * (mask & both).bit_count())
-                for w, p, mask, size, along in terms
-            )
-            if value != (gram.c0 if s == t else gram.c2):
-                return False
-    return True
+    entries = (  # (|u|, integrand of |y| and |u ∩ y|, the Gram entry it must give)
+        (0, lambda r, i: 1, gram.weight_sum),
+        (1, lambda r, i: n - 2 * r - 2 + 4 * i, gram.d0),
+        (1, lambda r, i: (n - 2 * r - 2 + 4 * i) ** 2, gram.c0),
+        (2, lambda r, i: (n - 2 * r - 2) ** 2 + 4 * (n - 2 * r - 2) * i + 16 * (i == 2), gram.c2),
+    )
+    return all(value == entry for j, f, entry in entries for _, value in _sums(design, j, f))
 
 
 def weight_constancy_check(design: WeightedDesign) -> bool:

@@ -195,6 +195,7 @@ def test_selftest(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "ok  symmetric_design 2-(16,6,2): residual split verifies" in out
+    assert "ok  the same with one weight doubled fails moments, balance and frame" in out
 
 
 @pytest.mark.parametrize("value", ["many", "1.5", "-1"])
@@ -285,9 +286,9 @@ def test_optimized_interpreter_gives_identical_results(capsys, tmp_path):
                          "--out", str(target))
     assert code == 0
     for argv in (("decide", "--n", "14", "--format", "json"),
-                 ("verify", "--design", str(target))):
+                 ("verify", "--design", str(target)), ("selftest",)):
         plain = run_module(*argv, optimize=False)
-        assert plain[1]
+        assert plain[0] == 0 and plain[1]
         assert run_module(*argv, optimize=True) == plain
 
 

@@ -75,6 +75,14 @@ def test_hadamard_design_bad_order():
         hadamard_design(complement_design(paley_design(7)))  # 2-(7,4,2): m = 7, k != 3
 
 
+@pytest.mark.parametrize("order", [-4, 0, 1, 2, 3, 6, 10, 36, 52])
+def test_hadamard_of_order_names_the_order(order):
+    # below 4, not divisible by 4, or neither a power of two nor a prime power
+    # plus one (35 and 51 are no prime powers)
+    with pytest.raises(BadOrder, match=rf"of order {order}:"):
+        hadamard_of_order(order)
+
+
 @pytest.mark.parametrize("q, v, k, lam", [(2, 7, 3, 1), (3, 13, 4, 1), (4, 21, 5, 1), (5, 31, 6, 1)])
 def test_projective_planes(q, v, k, lam):
     plane = projective_geometry(2, q)  # SymmetricDesign validates all invariants on build

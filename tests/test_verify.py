@@ -346,3 +346,47 @@ def test_tightness_bound_matches_generic_rank():
         weights = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in supports]
         design = make_design(n, supports, weights)
         assert tightness_check(design).bound == oracle_rank(oracle_gram(design))
+
+
+def random_shell_set(rng, k):
+    """A weighted set with n <= 7 and fractional weights, by k % 3: whole shells with
+    one weight each (a design for every t), a random part of 1 to 3 shells, or n + 1
+    points on two shells inside 1..n-1."""
+    n = rng.randint(3, 7)
+    if k % 3 == 2:
+        radii = rng.sample(range(1, n), 2)
+    else:
+        radii = rng.sample(range(n + 1), rng.randint(1, 3))
+    shells = [list(combinations(range(1, n + 1), r)) for r in radii]
+    if k % 3 == 0:
+        supports = [s for shell in shells for s in shell]
+        weights = [w for shell in shells
+                   for w in [Fraction(rng.randint(1, 6), rng.randint(1, 4))] * len(shell)]
+    else:
+        pool = [s for shell in shells for s in shell]
+        supports = rng.sample(pool, n + 1 if k % 3 == 2 else rng.randint(1, min(len(pool), 12)))
+        weights = [Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in supports]
+    return make_design(n, supports, weights)
+
+
+def test_checks_match_direct_sums_at_every_t():
+    # t = n reaches the meet sizes at both ends of the integrand's domain,
+    # max(0, r + j - n) and min(r, j); whole shells pass at every t, and the
+    # constructed designs pass up to t = 2 and then report a first violation
+    rng = random.Random(17)
+    fano = constructions.projective_geometry(2, 2)
+    corpus = [six_design(), constructions.from_symmetric_residual(fano)]
+    corpus += [random_shell_set(rng, k) for k in range(40)]
+    framed = 0
+    for design in corpus:
+        n = design.n
+        for t in range(n + 1):
+            report = moments_check(design, t)
+            assert report.first_violation == oracle_first_violation(design, t)
+            assert report.ok == (report.first_violation is None)
+            assert balanced_check(design, t) == oracle_balanced(design, t)
+        profile = shells_of(design)
+        if profile.p == 2 and not {0, n} & set(profile.radii) and design.size == n + 1:
+            assert frame_check(design) == oracle_frame(design)
+            framed += 1
+    assert framed >= 12
