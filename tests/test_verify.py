@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -334,6 +335,21 @@ def test_balanced_check_matches_direct_sums():
         report = balanced_check(design, 2)
         assert report.ok == is_design
         assert report == oracle_balanced(design, 2)
+
+
+# sha256 of the lines of full_check(design, t) for t = 0..3, each line followed by
+# a newline, over registry_corpus() in order
+FULL_CHECK_SHA256 = "339f0b769b5a0ca2834128b3a5f0dd86a2d19ac49777990e05060d6ad3155929"
+
+
+def test_full_check_output_is_pinned():
+    digest = hashlib.sha256()
+    for design, _ in registry_corpus():
+        for t in range(4):
+            for result in full_check(design, t):
+                for line in result.lines:
+                    digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == FULL_CHECK_SHA256
 
 
 def test_tightness_bound_matches_generic_rank():
