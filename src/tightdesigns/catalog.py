@@ -31,7 +31,7 @@ SYMMETRIC = (
       for q in (3, 4, 5)),
     *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
       for q in (11, 19, 23, 27, 31)),
-    ("sylvester[4]", 15, 7, partial(constructions.projective_geometry, 3, 2)),
+    ("sylvester[4]", 15, 7, partial(constructions.hadamard_of_order, 16)),  # PG(3, 2)
     ("symmetric[16,6,2]", 16, 6, partial(_generated, 16, 6, 2)),
     ("symmetric[25,9,3]", 25, 9, partial(_generated, 25, 9, 3)),
     ("symmetric[31,10,3]", 31, 10, partial(_generated, 31, 10, 3)),
@@ -43,15 +43,27 @@ def entries() -> list[tuple[str, tuple, partial]]:
     weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m), then the splits
     of each design in SYMMETRIC, of weight 1 (the residual split has k points
     on shell k-1 and v-k on shell k; the complemented split moves the k to
-    shell v-k)."""
+    shell v-k).  Entries with the same source share one build of it, made by
+    the first of them to be built."""
+    # one cached build per (construction, arguments), kept until every entry
+    # reading it is built: both splits of a design read one, and hadamard[m=15]
+    # and sylvester[4] the same Sylvester 2-(15,7,3)
+    sources: dict = {}
+
+    def shared(source: partial):
+        key = (source.func, source.args)
+        if key not in sources:
+            sources[key] = lru_cache(maxsize=1)(source)
+        return sources[key]
+
     out = []
     for m in (3, 7, 11, 15):
         n = 2 * m
-        build = partial(_compose, constructions.hadamard_design,
-                        partial(constructions.hadamard_of_order, m + 1))
-        out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)), build))
+        out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)),
+                    partial(_compose, constructions.hadamard_design,
+                            shared(partial(constructions.hadamard_of_order, m + 1)))))
     for name, v, k, source in SYMMETRIC:
-        source = lru_cache(maxsize=1)(source)  # one build serves both splits
+        source = shared(source)
         n = v - 1
         out.append((f"residual({name})", (n, k - 1, k, k, v - k, Fraction(1)),
                     partial(_compose, constructions.from_symmetric_residual, source)))

@@ -6,18 +6,22 @@ averages) and the balance criterion (weighted counts of points covering a
 fixed j-subset are constant per j).  They agree on H(n,2); the test suite
 checks that equivalence on a corpus.  They differ in what they sum but share
 one counting path with the frame identity: for a word u of weight j each sum
-depends on a point y only through |y| and |u ∩ y|, so `_sums` counts the
-points by Hamming weight, design weight and meet size with
-`hamming.meet_classes`.  The independent reference is the test suite's
-direct point-by-point sums.
+depends on a point y only through |y| and |u ∩ y|.  `_meet_table` counts each
+word's points by Hamming weight, design weight and meet size with
+`hamming.meet_classes`, once per design and j however many checks read it,
+and keeps the distinct count vectors; each check evaluates its integrand on
+those vectors, one integer dot product each.  The independent reference is
+the test suite's direct point-by-point sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
@@ -74,14 +78,17 @@ def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     return totals
 
 
-def _sums(design: WeightedDesign, j: int, f):
-    """For every word u of weight j, in `combinations` order: its support and
-    sum_y w(y) f(|y|, |u ∩ y|).
+@lru_cache(maxsize=4)  # j = 0..3: full_check at t <= 3 builds each table once
+def _meet_table(design: WeightedDesign, j: int):
+    """The meet counts of the words u of weight j: (denominator, terms, vectors).
 
-    Points of equal (|y|, w_y) form one bitset, which `meet_classes` splits by meet
-    size; f is evaluated once per class and meet size a point of that weight can
-    have, max(0, r + j - n) <= i <= min(r, j).  With the weights on one common
-    denominator every sum is an integer, and one Fraction is made per word.
+    Points of equal (|y|, w_y) form one class and its bitset, which
+    `meet_classes` splits by meet size.  terms lists (r, w_y * denominator, i)
+    for each class and meet size a point of that weight can have,
+    max(0, r + j - n) <= i <= min(r, j), with denominator the weights' common
+    one.  vectors holds each distinct count vector (the points of each term
+    meeting u) once, with the first u in `combinations` order that has it, in
+    order of first occurrence.
     """
     n = design.n
     denominator = lcm(*(w.denominator for w in design.weights))
@@ -92,14 +99,31 @@ def _sums(design: WeightedDesign, j: int, f):
         for x in range(1, n + 1):
             if y.bits >> (x - 1) & 1:
                 members[x] |= 1 << index
-    terms = [(mask, i, int(w * denominator) * f(r, i))
-             for (r, w), mask in classes.items()
-             for i in range(max(0, r + j - n), min(r, j) + 1)]
+    terms, masks = [], []
+    for (r, w), mask in classes.items():
+        for i in range(max(0, r + j - n), min(r, j) + 1):
+            terms.append((r, int(w * denominator), i))
+            masks.append((mask, i))
     everything = (1 << design.size) - 1
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     for support in combinations(range(1, n + 1), j):
         exactly = meet_classes(members, support, everything)
-        total = sum(c * (mask & exactly[i]).bit_count() for mask, i, c in terms)
-        yield support, Fraction(total, denominator)
+        # the tuple is made from a list: made from a generator once per word, tuples
+        # left freed blocks in CPython's free lists and raised peak memory
+        vectors.setdefault(tuple([(mask & exactly[i]).bit_count() for mask, i in masks]), support)
+    return denominator, tuple(terms), tuple(vectors.items())
+
+
+def _sums(design: WeightedDesign, j: int, f):
+    """For each distinct meet-count vector of the words of weight j, in order of
+    first occurrence: its first word's support and sum_y w(y) f(|y|, |u ∩ y|),
+    which is the same for every word u with that vector.  f is evaluated once per
+    term of `_meet_table`, and each sum is one integer dot product.
+    """
+    denominator, terms, vectors = _meet_table(design, j)
+    coefficients = [c * f(r, i) for r, c, i in terms]
+    for vector, support in vectors:
+        yield support, Fraction(sum(map(mul, coefficients, vector)), denominator)
 
 
 def moments_check(design: WeightedDesign, t: int) -> MomentsReport:

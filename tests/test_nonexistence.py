@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from oracles import (
     point_lambdas_two_equation,
 )
 from reference_table import REFERENCE_ROWS
-from tightdesigns import catalog, nonexistence
+from tightdesigns import catalog, constructions, nonexistence
 from tightdesigns.designs import WeightedDesign, complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import binomial
@@ -421,6 +422,26 @@ def test_registry_is_pinned_and_closed_under_complement():
         _twin_label, twin = registry[(n, n - r2, n - r1, n2, n1, 1 / w)]
         image = complement(design)
         assert scale_weights(image, 1 / shells_of(image).shells[0][2]) == twin, label
+
+
+def test_registry_builds_each_projective_geometry_once():
+    # hadamard[m=15] and sylvester[4] are both PG(3, 2); a profiler sees the calls
+    # that SYMMETRIC's partials make through the function they hold
+    calls = []
+    code = constructions.projective_geometry.__code__
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            calls.append((frame.f_locals["d"], frame.f_locals["q"]))
+
+    registry = catalog.registry()
+    sys.setprofile(profile)
+    try:
+        for key in registry:
+            registry[key]
+    finally:
+        sys.setprofile(None)
+    assert calls == [(1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (2, 5)]
 
 
 def test_every_catalog_entry_lands_on_its_listed_key():

@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from tightdesigns import constructions
+from tightdesigns import constructions, verify
 from tightdesigns.designs import (
     WeightedDesign,
     WrongShellCount,
@@ -406,3 +407,55 @@ def test_checks_match_direct_sums_at_every_t():
             assert frame_check(design) == oracle_frame(design)
             framed += 1
     assert framed >= 12
+
+
+def meet_counts(design, support):
+    """How many points of each weight and design weight meet the support in each
+    number of coordinates: a word's count vector, by direct sums."""
+    u = BinaryWord.from_support(design.n, support).bits
+    return Counter((y.weight, w, (y.bits & u).bit_count())
+                   for y, w in zip(design.points, design.weights))
+
+
+def test_first_violation_is_the_first_word_of_its_count_vector():
+    # the Hadamard pairing in H(6,2) first fails at t = 3, at the sixth word of
+    # weight 3; its count vector is not the first and three later words share it,
+    # so reporting another word of the vector, or the vectors in another order,
+    # changes the report
+    design = six_design()
+    words = list(combinations(range(1, 7), 3))
+    counts = [meet_counts(design, word) for word in words]
+    moments, balanced = moments_check(design, 3), balanced_check(design, 3)
+    assert moments.first_violation == oracle_first_violation(design, 3)
+    assert balanced == oracle_balanced(design, 3)
+    for j, u, *_ in (moments.first_violation, balanced.first_violation):
+        position = words.index(u.support())
+        assert j == 3 and position > 0
+        assert counts.index(counts[position]) == position  # the first word of its vector
+        assert counts.count(counts[position]) == 4
+
+
+def test_reports_do_not_depend_on_the_order_of_calls():
+    # t = 0..6 asks for more meet tables than the cache holds
+    design = six_design()
+
+    def reports(ts):
+        return {t: (moments_check(design, t), balanced_check(design, t)) for t in ts}
+
+    assert reports(range(7)) == reports(range(6, -1, -1))
+
+
+def test_full_check_counts_each_word_once(monkeypatch):
+    registry = construction_registry()
+    designs = {label: design for label, design in (registry[key] for key in registry)}
+    calls = []
+    original = verify.meet_classes
+    monkeypatch.setattr(verify, "meet_classes", lambda *args: calls.append(1) or original(*args))
+    verify._meet_table.cache_clear()
+    full_check(designs["hadamard[m=15]"], 2)
+    assert len(calls) == 1 + 30 + 435  # the words of weight 0, 1 and 2 in H(30,2)
+    calls.clear()
+    verify._meet_table.cache_clear()
+    for design in designs.values():
+        full_check(design, 2)
+    assert len(calls) == sum(1 + d.n + binomial(d.n, 2) for d in designs.values()) == 11084
