@@ -108,7 +108,7 @@ def _meet_table(design: WeightedDesign, j: int):
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     for support in combinations(range(1, n + 1), j):
         exactly = meet_classes(members, support, everything)
-        # the tuple is made from a list: made from a generator once per word, tuples
+        # from a list, not a generator: a tuple made from a generator once per word
         # left freed blocks in CPython's free lists and raised peak memory
         vectors.setdefault(tuple([(mask & exactly[i]).bit_count() for mask, i in masks]), support)
     return denominator, tuple(terms), tuple(vectors.items())
