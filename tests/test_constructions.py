@@ -108,6 +108,22 @@ def test_paley_design_bad_modulus():
         paley_design(10)  # not a prime power
 
 
+# sha256 of the repr of each design's blocks, each block a sorted list, in the
+# design's block order: PG(d, 2) for d = 1..5, PG(d, q) for q = 3, 4, 5 and
+# d = 1..3, then paley_design(q) for every prime power q = 3 (mod 4) below 140
+# and for 243 (the extension fields GF(27) and GF(243) among them)
+FIELD_BLOCKS_SHA256 = "39585f865921eb49d3f6ca53a3ee56633e99a1d02f7e3854d3c7d22db7f481de"
+
+
+def test_field_built_blocks_are_pinned():
+    designs = [projective_geometry(d, 2) for d in range(1, 6)]
+    designs += [projective_geometry(d, q) for q in (3, 4, 5) for d in range(1, 4)]
+    orders = (3, 7, 11, 19, 23, 27, 31, 43, 47, 59, 67, 71, 79, 83, 103, 107, 127, 131, 139, 243)
+    designs += [paley_design(q) for q in orders]
+    blocks = [[sorted(block) for block in design.blocks] for design in designs]
+    assert hashlib.sha256(repr(blocks).encode()).hexdigest() == FIELD_BLOCKS_SHA256
+
+
 @pytest.mark.parametrize(
     "source, expected",
     [
