@@ -31,7 +31,7 @@ SYMMETRIC = (
       for q in (3, 4, 5)),
     *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
       for q in (11, 19, 23, 27, 31)),
-    ("sylvester[4]", 15, 7, partial(constructions.hadamard_of_order, 16)),  # PG(3, 2)
+    ("sylvester[4]", 15, 7, constructions._hadamard_source(16)),  # PG(3, 2)
     ("symmetric[16,6,2]", 16, 6, partial(_generated, 16, 6, 2)),
     ("symmetric[25,9,3]", 25, 9, partial(_generated, 25, 9, 3)),
     ("symmetric[31,10,3]", 31, 10, partial(_generated, 31, 10, 3)),
@@ -46,8 +46,9 @@ def entries() -> list[tuple[str, tuple, partial]]:
     shell v-k).  Entries with the same source share one build of it, made by
     the first of them to be built."""
     # one cached build per (construction, arguments), kept until every entry
-    # reading it is built: both splits of a design read one, and hadamard[m=15]
-    # and sylvester[4] the same Sylvester 2-(15,7,3)
+    # reading it is built: both splits of a design read one, hadamard[m=11] and
+    # paley[11] the same Paley 2-(11,5,2), and hadamard[m=15] and sylvester[4]
+    # the same Sylvester 2-(15,7,3)
     sources: dict = {}
 
     def shared(source: partial):
@@ -61,7 +62,7 @@ def entries() -> list[tuple[str, tuple, partial]]:
         n = 2 * m
         out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)),
                     partial(_compose, constructions.hadamard_design,
-                            shared(partial(constructions.hadamard_of_order, m + 1)))))
+                            shared(constructions._hadamard_source(m + 1)))))
     for name, v, k, source in SYMMETRIC:
         source = shared(source)
         n = v - 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 from .designs import WeightedDesign
@@ -60,60 +61,34 @@ def _prime_power(q: int):
     return (q, 1)
 
 
-class _Field:
-    """GF(p^k) with elements as coefficient tuples modulo an irreducible polynomial."""
+def _field(q: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """GF(q) for a prime power q = p^k as (add, mul, one): its addition and
+    multiplication tables and the index of 1.  Element i is the i-th tuple c
+    of product(range(p), repeat=k), the polynomial sum c[j] x^j; products are
+    reduced modulo the first monic irreducible polynomial of degree k whose
+    lower coefficients come in that order (x itself when k = 1)."""
+    p, k = _prime_power(q)
+    index = {c: i for i, c in enumerate(product(range(p), repeat=k))}
 
-    def __init__(self, q: int):
-        pk = _prime_power(q)
-        if pk is None:
-            raise ValueError(f"{q} is not a prime power")
-        self.q = q
-        self.p, self.k = pk
-        self.modulus = self._find_irreducible()
-        self.elements = [tuple(c) for c in product(range(self.p), repeat=self.k)]
-        self.zero = (0,) * self.k
-        self.one = (1,) + (0,) * (self.k - 1)
+    def residue(poly, divisor):  # modulo a monic divisor, coefficients low degree first
+        acc = [0] * (len(divisor) - 1)
+        for c in reversed(poly):  # Horner's rule, acc <- x acc + c
+            acc = [(s - acc[-1] * g) % p for s, g in zip([c] + acc[:-1], divisor)]
+        return tuple(acc)
 
-    def _find_irreducible(self) -> tuple[int, ...]:
-        if self.k == 1:
-            return (0, 1)
-        for tail in product(range(self.p), repeat=self.k):
-            poly = tail + (1,)
-            if self._irreducible(poly):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
+    monic = [tail + (1,) for degree in range(1, k + 1) for tail in product(range(p), repeat=degree)]
+    modulus = next(f for f in monic if len(f) == k + 1
+                   and all(any(residue(f, g)) for g in monic if len(g) <= k))
 
-    def _irreducible(self, poly) -> bool:
-        for degree in range(1, len(poly) - 1):
-            for tail in product(range(self.p), repeat=degree):
-                divisor = tail + (1,)
-                if not any(self._poly_mod(poly, divisor)):
-                    return False
-        return True
+    def times(a, b):  # Horner's rule over a, acc <- x acc + c b
+        acc = [0] * k
+        for c in reversed(a):
+            acc = [(s - acc[-1] * g + c * y) % p for s, g, y in zip([0] + acc[:-1], modulus, b)]
+        return index[tuple(acc)]
 
-    def _poly_mod(self, a, b) -> tuple[int, ...]:
-        a = list(a)
-        db = len(b) - 1
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - c * b[j]) % self.p
-        return tuple(a[:db]) if db else ()
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._poly_mod(prod, self.modulus)
-
-    def nonzero_squares(self) -> set:
-        return {self.mul(x, x) for x in self.elements if x != self.zero}
+    add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in index] for a in index]
+    mul = [[times(a, b) for b in index] for a in index]
+    return add, mul, index[(1,) + (0,) * (k - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +134,18 @@ def projective_geometry(d: int, q: int) -> SymmetricDesign:
     order; x lies on a's hyperplane iff a.x = 0."""
     if q not in (2, 3, 4, 5) or d < 1:
         raise UnsupportedOrder(f"PG({d}, {q}) needs d >= 1 and an order q in 2..5")
-    field = _Field(q)
-    points = [vec for vec in product(field.elements, repeat=d + 1)
-              if next((c for c in vec if c != field.zero), None) == field.one]
+    add, mul, one = _field(q)
+    points = [vec for vec in product(range(q), repeat=d + 1)
+              if next((c for c in vec if c), None) == one]
 
     def dot(a, b):
-        acc = field.zero
+        acc = 0
         for x, y in zip(a, b):
-            acc = field.add(acc, field.mul(x, y))
+            acc = add[acc][mul[x][y]]
         return acc
 
     blocks = tuple(
-        frozenset(i for i, x in enumerate(points) if dot(a, x) == field.zero)
+        frozenset(i for i, x in enumerate(points) if dot(a, x) == 0)
         for a in points
     )
     k = len(blocks[0])
@@ -181,12 +156,9 @@ def paley_design(q: int) -> SymmetricDesign:
     """The 2-(q, (q-1)/2, (q-3)/4) design of quadratic-residue translates in GF(q)."""
     if _prime_power(q) is None or q % 4 != 3:
         raise BadModulus(f"need an odd prime power q = 3 (mod 4), got {q}")
-    field = _Field(q)
-    index = {e: i for i, e in enumerate(field.elements)}
-    squares = field.nonzero_squares()
-    blocks = tuple(
-        frozenset(index[field.add(s, g)] for s in squares) for g in field.elements
-    )
+    add, mul, _one = _field(q)
+    squares = {mul[x][x] for x in range(1, q)}
+    blocks = tuple(frozenset(add[s][g] for s in squares) for g in range(q))
     return SymmetricDesign(q, (q - 1) // 2, (q - 3) // 4, blocks)
 
 
@@ -277,11 +249,18 @@ def hadamard_of_order(order: int) -> SymmetricDesign:
     Sylvester's when it is a power of two, else Paley's on GF(order - 1).
     Raises BadOrder, naming the order, when it is below 4, not divisible by 4,
     or neither a power of two nor p^k + 1 (then p^k = 3 (mod 4))."""
+    return _hadamard_source(order)()
+
+
+def _hadamard_source(order: int) -> partial:
+    """The build hadamard_of_order(order) runs, unrun: a partial of
+    projective_geometry or paley_design, so that catalog entries reading one
+    design compare equal."""
     if order >= 4 and order % 4 == 0:
         if order & (order - 1) == 0:
-            return projective_geometry(order.bit_length() - 2, 2)
+            return partial(projective_geometry, order.bit_length() - 2, 2)
         if _prime_power(order - 1) is not None:
-            return paley_design(order - 1)
+            return partial(paley_design, order - 1)
     raise BadOrder(f"cannot build a Hadamard 2-design of order {order}: Sylvester's needs "
                    "a power of two >= 4, Paley's p^k + 1 with p^k = 3 (mod 4)")
 

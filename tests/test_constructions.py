@@ -1,12 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from oracles import exact_covers_brute
-from tightdesigns import symmetric, verify
+from tightdesigns import constructions, symmetric, verify
 from tightdesigns.constructions import (
     BadModulus,
     BadOrder,
@@ -106,6 +106,24 @@ def test_paley_design_bad_modulus():
         paley_design(13)  # 13 = 1 (mod 4)
     with pytest.raises(BadModulus):
         paley_design(10)  # not a prime power
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 27])
+def test_field_tables_satisfy_the_field_axioms(q):
+    # GF(4) and GF(27) are the extension fields the catalog reaches
+    add, mul, one = constructions._field(q)
+    elements = range(q)
+    assert len(add) == len(mul) == q and one != 0
+    for a, b in product(elements, repeat=2):
+        assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+    for a, b, c in product(elements, repeat=3):
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    for a in elements:
+        assert add[0][a] == a and mul[one][a] == a
+        assert 0 in add[a]  # an additive inverse
+        assert a == 0 or one in mul[a]  # a multiplicative inverse
 
 
 # sha256 of the repr of each design's blocks, each block a sorted list, in the

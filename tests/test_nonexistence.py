@@ -425,14 +425,16 @@ def test_registry_is_pinned_and_closed_under_complement():
 
 
 def test_registry_builds_each_projective_geometry_once():
-    # hadamard[m=15] and sylvester[4] are both PG(3, 2); a profiler sees the calls
-    # that SYMMETRIC's partials make through the function they hold
-    calls = []
-    code = constructions.projective_geometry.__code__
+    # hadamard[m=15] and sylvester[4] are both PG(3, 2), and hadamard[m=11] and
+    # paley[11] both Paley's 2-(11,5,2); a profiler sees the calls that the
+    # catalog's partials make through the function they hold
+    calls = {constructions.projective_geometry.__code__: [],
+             constructions.paley_design.__code__: []}
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code is code:
-            calls.append((frame.f_locals["d"], frame.f_locals["q"]))
+        if event == "call" and frame.f_code in calls:
+            names = frame.f_code.co_varnames[:frame.f_code.co_argcount]
+            calls[frame.f_code].append(tuple(frame.f_locals[name] for name in names))
 
     registry = catalog.registry()
     sys.setprofile(profile)
@@ -441,7 +443,9 @@ def test_registry_builds_each_projective_geometry_once():
             registry[key]
     finally:
         sys.setprofile(None)
-    assert calls == [(1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (2, 5)]
+    geometries, paleys = calls.values()
+    assert geometries == [(1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (2, 5)]
+    assert paleys == [(11,), (19,), (23,), (27,), (31,)]
 
 
 def test_every_catalog_entry_lands_on_its_listed_key():
