@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -188,8 +189,8 @@ def test_full_check_names_every_check():
             full_check(base, t)
 
 
-# Generic exact oracles: Gaussian elimination over Fraction and direct sums,
-# independent of the closed forms used by the checks.
+# Generic exact oracles: Gaussian elimination, over Fraction or fraction-free over
+# the integers, and direct sums, independent of the closed forms used by the checks.
 
 
 def oracle_rank(matrix):
@@ -209,19 +210,23 @@ def oracle_rank(matrix):
     return rank
 
 
-def oracle_inverse(matrix):
+def oracle_solve(matrix, rhs):
+    """(d, d A^-1 B) for an invertible integer matrix A = `matrix` and B = `rhs`,
+    d = +-det A, by fraction-free (Bareiss) Gauss-Jordan elimination: after the
+    step at column c every entry is a minor of [A | B], so each division is exact."""
     size = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(size)]
-           for i, row in enumerate(matrix)]
+    m = [list(row) + list(extra) for row, extra in zip(matrix, rhs)]
+    previous = 1
     for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
+        pivot = next(r for r in range(col, size) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col][col]
         for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+            if r != col:
+                factor = m[r][col]
+                m[r] = [(top * x - factor * y) // previous for x, y in zip(m[r], m[col])]
+        previous = top
+    return previous, [row[size:] for row in m]
 
 
 def oracle_gram(design):
@@ -246,18 +251,24 @@ def oracle_frame(design):
     evaluation = [[n - 2 * (y.bits ^ 1 << s).bit_count() for y in design.points]
                   for s in range(n)]
     evaluation.append([1] * design.size)
-    size, weights = n + 1, design.weights
+    size = n + 1
+    # both identities over the integers: scale W and G by the common denominator
+    # D of their entries; with X = d (D G)^-1 E and d = +-det(D G), the dual
+    # identity E^T G^-1 E = W^-1 reads (D W) E^T X = d I
+    scale = lcm(*(w.denominator for w in design.weights),
+                *(entry.denominator for row in g for entry in row))
+    weights = [w.numerator * (scale // w.denominator) for w in design.weights]
+    gram = [[entry.numerator * (scale // entry.denominator) for entry in row] for row in g]
     for a in range(size):
         for b in range(a, size):
             if sum(weights[y] * evaluation[a][y] * evaluation[b][y]
-                   for y in range(size)) != g[a][b]:
+                   for y in range(size)) != gram[a][b]:
                 return False
-    g_inv = oracle_inverse(g)
+    det, solved = oracle_solve(gram, evaluation)
     for x in range(size):
-        gx = [sum(g_inv[s][u] * evaluation[u][x] for u in range(size)) for s in range(size)]
         for y in range(size):
-            expected = 1 / weights[x] if x == y else 0
-            if sum(evaluation[s][y] * gx[s] for s in range(size)) != expected:
+            if (weights[x] * sum(evaluation[s][x] * solved[s][y] for s in range(size))
+                    != (det if x == y else 0)):
                 return False
     return True
 
