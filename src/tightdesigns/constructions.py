@@ -70,24 +70,19 @@ def _field(q: int) -> tuple[list[list[int]], list[list[int]], int]:
     p, k = _prime_power(q)
     index = {c: i for i, c in enumerate(product(range(p), repeat=k))}
 
-    def residue(poly, divisor):  # modulo a monic divisor, coefficients low degree first
-        acc = [0] * (len(divisor) - 1)
-        for c in reversed(poly):  # Horner's rule, acc <- x acc + c
-            acc = [(s - acc[-1] * g) % p for s, g in zip([c] + acc[:-1], divisor)]
+    def times(a, b, divisor):  # a b modulo a monic divisor of degree len(b), low degree first
+        acc = [0] * len(b)
+        for c in reversed(a):  # Horner's rule, acc <- x acc + c b
+            acc = [(s - acc[-1] * g + c * y) % p for s, g, y in zip([0] + acc[:-1], divisor, b)]
         return tuple(acc)
 
+    # f is irreducible when f = f 1 is nonzero modulo every monic g of lower degree
     monic = [tail + (1,) for degree in range(1, k + 1) for tail in product(range(p), repeat=degree)]
-    modulus = next(f for f in monic if len(f) == k + 1
-                   and all(any(residue(f, g)) for g in monic if len(g) <= k))
-
-    def times(a, b):  # Horner's rule over a, acc <- x acc + c b
-        acc = [0] * k
-        for c in reversed(a):
-            acc = [(s - acc[-1] * g + c * y) % p for s, g, y in zip([0] + acc[:-1], modulus, b)]
-        return index[tuple(acc)]
+    modulus = next(f for f in monic if len(f) == k + 1 and all(
+        any(times(f, (1,) + (0,) * (len(g) - 2), g)) for g in monic if len(g) <= k))
 
     add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in index] for a in index]
-    mul = [[times(a, b) for b in index] for a in index]
+    mul = [[index[times(a, b, modulus)] for b in index] for a in index]
     return add, mul, index[(1,) + (0,) * (k - 1)]
 
 
