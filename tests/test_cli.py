@@ -190,6 +190,18 @@ def test_decide_catalog_output_is_pinned(capsys):
     assert decide_digest(capsys, CATALOG_ARGVS) == CATALOG_SHA256
 
 
+# sha256 over the exit code and stdout of `decide --n N --budget B --format
+# json` for N in 31..60 and B in (1, 100, 5000, 50000): the node counts,
+# witnesses and stops before the first node of every search these rows reach
+WIDE_SEARCH_SHA256 = "ba2491ba6a3abf1c17d094983b8a3946e3264ce712809fc77da2f8f06c5e007a"
+WIDE_SEARCH_ARGVS = [["--n", str(n), "--budget", str(budget)]
+                     for n in range(31, 61) for budget in (1, 100, 5000, 50000)]
+
+
+def test_decide_31_to_60_output_is_pinned(capsys):
+    assert decide_digest(capsys, WIDE_SEARCH_ARGVS) == WIDE_SEARCH_SHA256
+
+
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
