@@ -31,7 +31,7 @@ SYMMETRIC = (
       for q in (3, 4, 5)),
     *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
       for q in (11, 19, 23, 27, 31)),
-    ("sylvester[4]", 15, 7, constructions._hadamard_source(16)),  # PG(3, 2)
+    ("sylvester[4]", 15, 7, constructions.hadamard_source(16)),  # PG(3, 2)
     ("symmetric[16,6,2]", 16, 6, partial(_generated, 16, 6, 2)),
     ("symmetric[25,9,3]", 25, 9, partial(_generated, 25, 9, 3)),
     ("symmetric[31,10,3]", 31, 10, partial(_generated, 31, 10, 3)),
@@ -62,7 +62,7 @@ def entries() -> list[tuple[str, tuple, partial]]:
         n = 2 * m
         out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)),
                     partial(_compose, constructions.hadamard_design,
-                            shared(constructions._hadamard_source(m + 1)))))
+                            shared(constructions.hadamard_source(m + 1)))))
     for name, v, k, source in SYMMETRIC:
         source = shared(source)
         n = v - 1

@@ -92,10 +92,8 @@ def _cmd_construct(args) -> int:
                 raise constructions.BadOrder(f"m = {args.m} needs m >= 3")
             if args.m % 4 != 3:
                 raise constructions.BadOrder(f"m = {args.m} needs m = 3 (mod 4)")
-            # Sylvester's when m + 1 is a power of two, else Paley's, whose error names m
-            symmetric = (constructions.hadamard_of_order(args.m + 1) if args.m & (args.m + 1) == 0
-                         else constructions.paley_design(args.m))
-            design = constructions.hadamard_design(symmetric)
+            # Paley's error names m, where hadamard_of_order's would name m + 1
+            design = constructions.hadamard_design(constructions.hadamard_source(args.m + 1)())
         else:
             if args.plane is not None:
                 symmetric = constructions.projective_geometry(2, args.plane)

@@ -244,20 +244,23 @@ def hadamard_of_order(order: int) -> SymmetricDesign:
     Sylvester's when it is a power of two, else Paley's on GF(order - 1).
     Raises BadOrder, naming the order, when it is below 4, not divisible by 4,
     or neither a power of two nor p^k + 1 (then p^k = 3 (mod 4))."""
-    return _hadamard_source(order)()
-
-
-def _hadamard_source(order: int) -> partial:
-    """The build hadamard_of_order(order) runs, unrun: a partial of
-    projective_geometry or paley_design, so that catalog entries reading one
-    design compare equal."""
     if order >= 4 and order % 4 == 0:
-        if order & (order - 1) == 0:
-            return partial(projective_geometry, order.bit_length() - 2, 2)
-        if _prime_power(order - 1) is not None:
-            return partial(paley_design, order - 1)
+        try:
+            return hadamard_source(order)()
+        except BadModulus:  # order - 1 is no prime power
+            pass
     raise BadOrder(f"cannot build a Hadamard 2-design of order {order}: Sylvester's needs "
                    "a power of two >= 4, Paley's p^k + 1 with p^k = 3 (mod 4)")
+
+
+def hadamard_source(order: int) -> partial:
+    """The build hadamard_of_order(order) runs for an order 4t >= 4, unrun: a
+    partial of projective_geometry, or else of paley_design, which raises
+    BadModulus when order - 1 is no prime power.  Catalog entries reading one
+    design compare equal."""
+    if order & (order - 1) == 0:
+        return partial(projective_geometry, order.bit_length() - 2, 2)
+    return partial(paley_design, order - 1)
 
 
 def known_designs() -> list[tuple[str, WeightedDesign]]:

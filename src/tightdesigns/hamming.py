@@ -2,9 +2,10 @@
 
 Everything here is integer or rational arithmetic: binomial coefficients,
 Krawtchouk polynomials, shell intersection counts, words split by their meet
-with a support, the closed-form Gram data of the degree-<=1 eigenfunctions on
-two shells and its closed-form Gram-Schmidt orthogonalization.  No floating
-point; intermediate integers routinely exceed 64 bits (C(30,15)^2 scale).
+with a support, k-subsets by rank and by member, the closed-form Gram data of
+the degree-<=1 eigenfunctions on two shells and its closed-form Gram-Schmidt
+orthogonalization.  No floating point; intermediate integers routinely exceed
+64 bits (C(30,15)^2 scale).
 """
 
 from __future__ import annotations
@@ -117,6 +118,39 @@ def meet_classes(members, support, everything: int) -> list[int]:
         bits = members[x]
         exactly = [low ^ (low ^ high) & bits for low, high in zip(exactly + [0], [0] + exactly)]
     return exactly
+
+
+def unrank_subset(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The k-subset of range(n) at this index in the order of
+    itertools.combinations: the C(n-x-1, k-1) subsets that start at x come
+    before those that start higher."""
+    subset = []
+    for x in range(n):
+        if not k:
+            break
+        first = comb(n - x - 1, k - 1)
+        if rank < first:
+            subset.append(x)
+            k -= 1
+        else:
+            rank -= first
+    return tuple(subset)
+
+
+def subset_members(n: int, k: int) -> list[int]:
+    """Entry x: the bitset of the k-subsets of range(n) that hold x, bit j
+    standing for the subset unrank_subset(n, k, j).  Among the subsets of
+    range(s, n), those that hold s come first, then those of range(s+1, n);
+    `level` maps each size to the members over range(s, n), from s = n down."""
+    level = {0: []}
+    for s in range(n - 1, -1, -1):
+        below, zeros, level = level, [0] * (n - s - 1), {}
+        for size in range(max(0, k - s), min(k, n - s) + 1):
+            first = binomial(n - s - 1, size - 1)  # the subsets that hold s
+            level[size] = [(1 << first) - 1] + [
+                low | high << first
+                for low, high in zip(below.get(size - 1, zeros), below.get(size, zeros))]
+    return level[k]
 
 
 @dataclass(frozen=True)

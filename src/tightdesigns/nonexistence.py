@@ -25,7 +25,7 @@ from . import catalog, verify
 # relation_profile is not called here; the benchmark's tracer counts it under this name
 from .designs import WeightedDesign, relation_profile, save  # noqa: F401
 from .feasibility import ParameterRow, row_to_dict
-from .hamming import binomial, meet_classes
+from .hamming import binomial, meet_classes, subset_members, unrank_subset
 
 DEFAULT_BUDGET = 10**9
 
@@ -270,7 +270,9 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     (the pairs a < b, then each block as (a, a)), and item (a, b) must lie in
     exactly |B_a & B_b| of the n patterns, B_a being block a's points: `meet`
     off the diagonal, `size` on it.  Compatibility rows come from the
-    patterns through each block by the meet recurrence (see `compat`).
+    patterns through each block by the meet recurrence (see `compat`).  Pattern
+    j is the j-th degree-subset in the order of `combinations`, unranked, and
+    its compatibility row and cover array are made when first read.
 
     Counting incidences gives meet (N-1) = size (degree-1), and the block
     complement keeps it, so the pairs through a block always hold degree-1
@@ -288,18 +290,13 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
         raise RuntimeError(f"inconsistent shell problem: {n_blocks} blocks of size {size} "
                            f"on {n} points, degree {degree}, pairwise meets {meet}")
     # degree = n_blocks * size / n >= 1: feasible rows have 2 <= size <= n-2
-    if binomial(n_blocks, degree) > budget:
-        # the budget bounds setup too: never build more patterns than it allows nodes
+    count = binomial(n_blocks, degree)
+    if count > budget:
+        # the budget bounds setup too: no bitset over more patterns than it allows nodes
         return "undecided", None, 0
 
-    patterns = list(combinations(range(n_blocks), degree))
-    # the patterns through each block as a bitset, read from a '0'/'1' string per block
-    digits = [bytearray(b"0") * len(patterns) for _ in range(n_blocks)]
-    for j, p in enumerate(reversed(patterns)):  # the last digit is pattern 0's bit
-        for i in p:
-            digits[i][j] = ord("1")
-    block_patterns = [int(d, 2) for d in digits]
-    del digits
+    # the patterns through each block as a bitset, bit j standing for pattern j
+    block_patterns = subset_members(n_blocks, degree)
     compat_rows: dict[int, int] = {}
 
     def compat(a):
@@ -307,19 +304,27 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
         degree), split by their meet with a's blocks once per pattern."""
         row = compat_rows.get(a)
         if row is None:
-            exactly = meet_classes(block_patterns, patterns[a], (1 << len(patterns)) - 1)
+            exactly = meet_classes(block_patterns, unrank_subset(n_blocks, degree, a),
+                                   (1 << count) - 1)
             # the exactly[i] are disjoint, so their sum is their union
             row = compat_rows[a] = sum(x for i, x in enumerate(exactly) if i in domain)
         return row
 
     items = list(combinations(range(n_blocks), 2)) + [(a, a) for a in range(n_blocks)]
     index = {item: t for t, item in enumerate(items)}
+    cover_items: dict[int, array] = {}
+
+    def cover(j):
+        """The items pattern j covers, made on first read."""
+        row = cover_items.get(j)
+        if row is None:
+            pairs = combinations_with_replacement(unrank_subset(n_blocks, degree, j), 2)
+            row = cover_items[j] = array("I", map(index.__getitem__, pairs))
+        return row
+
     item_patterns = [block_patterns[a] & block_patterns[b] for a, b in items]
     cap = [size if a == b else meet for a, b in items]
-    # the items each pattern covers; arrays, since C(N, degree) lists would take far more memory
-    covers = [array("I", map(index.__getitem__, combinations_with_replacement(p, 2)))
-              for p in patterns]
-    state = _Search(cap, covers, item_patterns, compat, budget)
+    state = _Search(cap, cover, item_patterns, compat, budget)
     try:
         # symmetry break: some point may be relabeled onto the first pattern; it
         # fits, as its blocks start at size >= 1 and its pairs (degree >= 2) at meet >= 1
@@ -333,7 +338,7 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
     point = 1
     for j in sorted(result):
         for _ in range(result[j]):
-            for i in patterns[j]:
+            for i in unrank_subset(n_blocks, degree, j):
                 blocks[i].append(point)
             point += 1
     if complemented:  # undo the transform on the emitted witness
@@ -348,25 +353,34 @@ class _Budget(Exception):
 class _Search:
     """The state of one pattern search, with its recursion as methods: closures
     that call each other form a reference cycle, which would keep each search's
-    cover arrays alive until the next garbage collection."""
+    cover arrays alive until the next garbage collection.  So the caches of
+    compatibility rows and cover arrays live in `compat` and `cover`, which
+    never refer to the search or to themselves.
 
-    __slots__ = ("cap", "covers", "item_patterns", "compat", "budget", "chosen", "nodes")
+    `full` is the union of item_patterns[t] over the items t with no room
+    left (cap[t] = 0): a full candidate fits no copy, so `fill` counts a run
+    of them as nodes in one step instead of visiting each."""
 
-    def __init__(self, cap, covers, item_patterns, compat, budget):
-        self.cap, self.covers, self.item_patterns = cap, covers, item_patterns
+    __slots__ = ("cap", "cover", "item_patterns", "compat", "budget", "chosen", "nodes", "full")
+
+    def __init__(self, cap, cover, item_patterns, compat, budget):
+        self.cap, self.cover, self.item_patterns = cap, cover, item_patterns
         self.compat, self.budget = compat, budget
         self.chosen: dict[int, int] = {}
-        self.nodes = 0
+        self.nodes = self.full = 0
 
-    def tick(self):
-        self.nodes += 1
+    def tick(self, k=1):
+        self.nodes += k
         if self.nodes > self.budget:
+            self.nodes = self.budget + 1  # the count at which a node-by-node walk stops
             raise _Budget
 
     def place(self, j, m):
-        cap = self.cap
-        for t in self.covers[j]:
+        cap, item_patterns = self.cap, self.item_patterns
+        for t in self.cover(j):
             cap[t] -= m
+            if not cap[t]:
+                self.full |= item_patterns[t]
         chosen = self.chosen
         chosen[j] = chosen.get(j, 0) + m
         if not chosen[j]:
@@ -389,20 +403,28 @@ class _Search:
     def fill(self, cands, need, remaining, usable):
         if need == 0:
             return self.search(remaining, usable)
-        cap, covers, compat = self.cap, self.covers, self.compat
-        while cands:
-            j = (cands & -cands).bit_length() - 1
-            cands &= ~(1 << j)  # candidates are consumed in index order
-            top = min(need, remaining, min(map(cap.__getitem__, covers[j])))
+        cap, compat, full = self.cap, self.compat, self.full
+        # need, remaining >= 1 here, so a full candidate is one node and no copy;
+        # candidates are consumed in index order, the full ones below j counted at once
+        free = cands & ~full
+        while free:
+            low = free & -free
+            free ^= low
+            self.tick((cands & (low - 1)).bit_count())
+            cands &= -low << 1  # the candidates above j
+            j = low.bit_length() - 1
+            top = min(need, remaining, min(map(cap.__getitem__, self.cover(j))))
             for m in range(1, top + 1):
                 self.tick()
                 self.place(j, m)
                 allowed = compat(j)
                 result = self.fill(cands & allowed, need - m, remaining - m, usable & allowed)
                 self.place(j, -m)
+                self.full = full
                 if result is not None:
                     return result
             self.tick()
+        self.tick(cands.bit_count())
         return None
 
 

@@ -261,6 +261,24 @@ def test_budget_bounds_search_setup():
         "before the first node: 39049918716424 patterns]"]
 
 
+def test_search_memory_follows_the_nodes_it_visits():
+    # shell 1 of row 42(16) has C(21, 10) = 352,716 patterns, within a budget of
+    # 400,000 nodes that it spends in mid-search.  A cover array for every
+    # pattern took about 200 MB of address space and 10 s; the search reads a
+    # few dozen of them, and the whole process now needs about 35 MB
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+
+    result = run_process("decide", "--n", "42", "--row-index", "16", "--budget", "400000",
+                         timeout=5, preexec_fn=cap_memory)
+    assert (result.returncode, result.stderr) == (3, "")
+    assert result.stdout.splitlines() == [
+        "42(16) r1=20 r2=21 N1=21 N2=22 w=1: UNDECIDED [shell 1 (21 blocks of size 20, "
+        "pairwise meets 9): node budget 400000 exhausted; shell 2 (22 blocks of size 21, "
+        "pairwise meets 10): node budget 400000 exhausted before the first node: "
+        "705432 patterns]"]
+
+
 def test_only_generated_rows_load_the_generator():
     # the registry lists its rows without building a design: enumerate and a
     # row outside the catalog build none and never import the generator's

@@ -14,6 +14,8 @@ from tightdesigns.hamming import (
     krawtchouk,
     meet_classes,
     shell_intersection,
+    subset_members,
+    unrank_subset,
 )
 
 
@@ -247,3 +249,13 @@ def test_meet_classes_match_the_popcount_scan():
         classes = meet_classes(members, support, everything)
         assert classes == meet_classes_scan(words, support, everything)
         assert len(classes) == len(support) + 1
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_subsets_unrank_and_members_match_combinations(n):
+    # every size, degree 1 and n - 1 included
+    for k in range(n + 1):
+        subsets = list(combinations(range(n), k))
+        assert [unrank_subset(n, k, j) for j in range(len(subsets))] == subsets
+        assert subset_members(n, k) == [sum(1 << j for j, s in enumerate(subsets) if x in s)
+                                        for x in range(n)]

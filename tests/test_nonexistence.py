@@ -3,7 +3,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -17,7 +17,7 @@ from reference_table import REFERENCE_ROWS
 from tightdesigns import catalog, constructions, nonexistence
 from tightdesigns.designs import WeightedDesign, complement, save, scale_weights, shells_of
 from tightdesigns.feasibility import enumerate_rows
-from tightdesigns.hamming import binomial
+from tightdesigns.hamming import binomial, unrank_subset
 from tightdesigns.nonexistence import (
     CAUSE_CSP_EXHAUSTED,
     CAUSE_PAIR_DEGREE_SUM,
@@ -302,8 +302,8 @@ def test_compatibility_rows_and_block_bitsets_match_the_scan(monkeypatch):
     # still sets up their problems when called on them
     captured = {}
 
-    def capture(cap, covers, item_patterns, compat, budget):
-        captured.update(item_patterns=item_patterns, compat=compat)
+    def capture(cap, cover, item_patterns, compat, budget):
+        captured.update(cover=cover, item_patterns=item_patterns, compat=compat)
         raise _SetUp
 
     monkeypatch.setattr(nonexistence, "_Search", capture)
@@ -332,7 +332,12 @@ def test_compatibility_rows_and_block_bitsets_match_the_scan(monkeypatch):
         with pytest.raises(_SetUp):
             csp_search(r, shell, solutions, budget=5000)
         patterns = list(combinations(range(n_blocks), degree))
-        # the blocks (a, a) are the last cover items
+        assert [unrank_subset(n_blocks, degree, j) for j in range(len(patterns))] == patterns
+        # the pairs a < b, then the blocks (a, a), are the cover items
+        items = list(combinations(range(n_blocks), 2)) + [(a, a) for a in range(n_blocks)]
+        for j, p in enumerate(patterns):
+            assert [items[t] for t in captured["cover"](j)] == list(
+                combinations_with_replacement(p, 2))
         for i, bits in enumerate(captured["item_patterns"][-n_blocks:]):
             assert all((bits >> j & 1) == (i in p) for j, p in enumerate(patterns))
             assert bits >> len(patterns) == 0
