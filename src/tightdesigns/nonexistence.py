@@ -297,30 +297,24 @@ def _pattern_search(n, n_blocks, size, meet, degree, domain, budget):
 
     # the patterns through each block as a bitset, bit j standing for pattern j
     block_patterns = subset_members(n_blocks, degree)
-    compat_rows: dict[int, int] = {}
 
+    @lru_cache(maxsize=None)
     def compat(a):
         """Patterns meeting pattern a in a domain value (a meets itself in
         degree), split by their meet with a's blocks once per pattern."""
-        row = compat_rows.get(a)
-        if row is None:
-            exactly = meet_classes(block_patterns, unrank_subset(n_blocks, degree, a),
-                                   (1 << count) - 1)
-            # the exactly[i] are disjoint, so their sum is their union
-            row = compat_rows[a] = sum(x for i, x in enumerate(exactly) if i in domain)
-        return row
+        exactly = meet_classes(block_patterns, unrank_subset(n_blocks, degree, a),
+                               (1 << count) - 1)
+        # the exactly[i] are disjoint, so their sum is their union
+        return sum(x for i, x in enumerate(exactly) if i in domain)
 
     items = list(combinations(range(n_blocks), 2)) + [(a, a) for a in range(n_blocks)]
     index = {item: t for t, item in enumerate(items)}
-    cover_items: dict[int, array] = {}
 
+    @lru_cache(maxsize=None)
     def cover(j):
         """The items pattern j covers, made on first read."""
-        row = cover_items.get(j)
-        if row is None:
-            pairs = combinations_with_replacement(unrank_subset(n_blocks, degree, j), 2)
-            row = cover_items[j] = array("I", map(index.__getitem__, pairs))
-        return row
+        pairs = combinations_with_replacement(unrank_subset(n_blocks, degree, j), 2)
+        return array("I", map(index.__getitem__, pairs))
 
     item_patterns = [block_patterns[a] & block_patterns[b] for a, b in items]
     cap = [size if a == b else meet for a, b in items]
