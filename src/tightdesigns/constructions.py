@@ -66,7 +66,9 @@ def _field(q: int) -> tuple[list[list[int]], list[list[int]], int]:
     multiplication tables and the index of 1.  Element i is the i-th tuple c
     of product(range(p), repeat=k), the polynomial sum c[j] x^j; products are
     reduced modulo the first monic irreducible polynomial of degree k whose
-    lower coefficients come in that order (x itself when k = 1)."""
+    lower coefficients come in that order (x itself when k = 1).  The q - 1
+    powers of the first primitive element in index order give the exp and log
+    tables, from which the multiplication table is filled."""
     p, k = _prime_power(q)
     index = {c: i for i, c in enumerate(product(range(p), repeat=k))}
 
@@ -81,9 +83,19 @@ def _field(q: int) -> tuple[list[list[int]], list[list[int]], int]:
     modulus = next(f for f in monic if len(f) == k + 1 and all(
         any(times(f, (1,) + (0,) * (len(g) - 2), g)) for g in monic if len(g) <= k))
 
+    one = (1,) + (0,) * (k - 1)
+    for generator in list(index)[1:]:  # primitive: its powers reach all q - 1 units
+        exp = [one]
+        while (power := times(exp[-1], generator, modulus)) != one:
+            exp.append(power)
+        if len(exp) == q - 1:
+            break
+    exp = [index[power] for power in exp]
+    log = {x: e for e, x in enumerate(exp)}
     add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in index] for a in index]
-    mul = [[index[times(a, b, modulus)] for b in index] for a in index]
-    return add, mul, index[(1,) + (0,) * (k - 1)]
+    mul = [[0] * q] + [[0] + [exp[(log[x] + log[y]) % (q - 1)] for y in range(1, q)]
+                       for x in range(1, q)]
+    return add, mul, index[one]
 
 
 # ---------------------------------------------------------------------------

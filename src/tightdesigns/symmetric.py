@@ -7,9 +7,11 @@ a block of a 2-(k, lam, lam - 1) design: the structure at the base point is
 that design's dual.  `symmetric_design` fixes the design, lists the k-sets
 that meet every block through the base point in lam points, and completes
 with v - k of them that meet pairwise in lam points, both by one exact cover
-over bitsets (`_covers`).  Every choice is made in a fixed order, so the
-result depends on (v, k, lam) alone.  The registry in `catalog` imports this
-module only when it first builds such a design.
+over bitsets (`_covers`).  The cover walk counts down one list of open
+counts in place, and computes a mask's support and meet row once, when it
+first takes that mask.  Every choice is made in a fixed order, so the result
+depends on (v, k, lam) alone.  The registry in `catalog` imports this module
+only when it first builds such a design.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _holders(masks, width):
     return [sum(1 << j for j, mask in enumerate(masks) if mask >> b & 1) for b in range(width)]
 
 
-def _covers(masks, holders, need, live, meet=None, chosen=()):
+def _covers(masks, holders, need, live, meet=None):
     """Each set of masks from `live`, a bitset of their indices, holding bit b
     need[b] times and, given `meet`, meeting pairwise in `meet` bits, as its
     indices in the order chosen; holders[b] is the bitset of the masks on b.
@@ -106,7 +108,16 @@ def _covers(masks, holders, need, live, meet=None, chosen=()):
     Branch on the open bit with the fewest live masks, over them in index
     order.  A branch drops the masks tried before it (no cover is reached
     twice), those on the bits it fills and, given `meet`, those that do not
-    meet it in `meet` bits (by the meet recurrence)."""
+    meet it in `meet` bits.  One copy of `need` is counted down in place and
+    restored on return; a mask's support and, given `meet`, its meet row (the
+    masks meeting it in `meet` bits, by the meet recurrence over all of them)
+    are computed when the walk first takes it and kept for the walk."""
+    return _walk(masks, holders, list(need), live, meet, {})
+
+
+def _walk(masks, holders, need, live, meet, seen, chosen=()):
+    """The covers of `_covers` that extend `chosen`, `need` being what is left
+    to hold; seen[j] is mask j's (support, meet row) once the walk took it."""
     target = None
     for b, left in enumerate(need):
         if left:
@@ -123,13 +134,19 @@ def _covers(masks, holders, need, live, meet=None, chosen=()):
         j = (untried & -untried).bit_length() - 1
         untried ^= 1 << j
         live ^= 1 << j
-        support = [b for b in range(len(need)) if masks[j] >> b & 1]
-        rest, full = list(need), 0
+        if j not in seen:
+            support = tuple(b for b in range(len(need)) if masks[j] >> b & 1)
+            everything = (1 << len(masks)) - 1
+            # an empty slice when the mask has fewer than `meet` bits
+            row = everything if meet is None else sum(
+                meet_classes(holders, support, everything)[meet:meet + 1])
+            seen[j] = support, row
+        support, row = seen[j]
+        full = 0
         for b in support:
-            rest[b] -= 1
-            if not rest[b]:
+            need[b] -= 1
+            if not need[b]:
                 full |= holders[b]
-        child = live & ~full
-        if meet is not None:  # an empty slice when the mask has fewer than `meet` bits
-            child = sum(meet_classes(holders, support, child)[meet:meet + 1])
-        yield from _covers(masks, holders, rest, child, meet, chosen + (j,))
+        yield from _walk(masks, holders, need, live & ~full & row, meet, seen, chosen + (j,))
+        for b in support:
+            need[b] += 1

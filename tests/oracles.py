@@ -1,10 +1,11 @@
 """Generic exact linear algebra, the exhaustive row enumeration, the
 two-equation solve for the point counts, the degree-2 moment solve for the
 per-pair counts, an exhaustive integer solve of the pair-count moments, the
-per-pattern compatibility scan, the popcount scan of meets and the subset
-enumeration of exact covers, kept as test oracles for the closed forms, the
-divisibility-driven enumeration, the moment rule, the meet recurrence and the
-symmetric-design generator's exact cover.
+per-pattern compatibility scan, the popcount scan of meets, the subset
+enumeration of exact covers and a cover walk that copies its counts at every
+node, kept as test oracles for the closed forms, the divisibility-driven
+enumeration, the moment rule, the meet recurrence and the symmetric-design
+generator's exact cover and its order.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.feasibility.enumerate_rows`,
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tightdesigns.feasibility import candidate_row
-from tightdesigns.hamming import binomial, krawtchouk
+from tightdesigns.hamming import binomial, krawtchouk, meet_classes
 from tightdesigns.nonexistence import PairLambdaSolution
 
 
@@ -198,6 +199,45 @@ def exact_covers_brute(masks, need, meet=None) -> list[tuple[int, ...]]:
                 continue
             covers.append(subset)
     return covers
+
+
+def covers_copying(masks, holders, need, live, meet=None, chosen=()):
+    """Each set of masks from `live`, a bitset of their indices, holding bit b
+    need[b] times and, given `meet`, meeting pairwise in `meet` bits, as its
+    indices in the order chosen; holders[b] is the bitset of the masks on b.
+
+    Branch on the open bit with the fewest live masks, over them in index
+    order.  A branch drops the masks tried before it (no cover is reached
+    twice), those on the bits it fills and, given `meet`, those that do not
+    meet it in `meet` bits (by the meet recurrence).  Each child copies
+    `need`, reads its mask's support off every bit and splits the live masks
+    by their meet with it."""
+    target = None
+    for b, left in enumerate(need):
+        if left:
+            count = (live & holders[b]).bit_count()
+            if count < left:
+                return
+            if target is None or count < fewest:
+                target, fewest = b, count
+    if target is None:
+        yield chosen
+        return
+    untried = live & holders[target]
+    while untried:
+        j = (untried & -untried).bit_length() - 1
+        untried ^= 1 << j
+        live ^= 1 << j
+        support = [b for b in range(len(need)) if masks[j] >> b & 1]
+        rest, full = list(need), 0
+        for b in support:
+            rest[b] -= 1
+            if not rest[b]:
+                full |= holders[b]
+        child = live & ~full
+        if meet is not None:  # an empty slice when the mask has fewer than `meet` bits
+            child = sum(meet_classes(holders, support, child)[meet:meet + 1])
+        yield from covers_copying(masks, holders, rest, child, meet, chosen + (j,))
 
 
 class SingularLeadingMinor(ValueError):

@@ -1,11 +1,12 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
-from oracles import exact_covers_brute
+from oracles import covers_copying, exact_covers_brute
 from tightdesigns import constructions, symmetric, verify
 from tightdesigns.constructions import (
     BadModulus,
@@ -108,9 +109,11 @@ def test_paley_design_bad_modulus():
         paley_design(10)  # not a prime power
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_field_tables_satisfy_the_field_axioms(q):
-    # GF(4) and GF(27) are the extension fields the catalog reaches
+    # GF(4) and GF(27) are the extension fields the catalog reaches; GF(8),
+    # GF(9), GF(16) and GF(25) are the others up to 27.  In GF(9), GF(16) and
+    # GF(25) units of order below q - 1 come before the first primitive element
     add, mul, one = constructions._field(q)
     elements = range(q)
     assert len(add) == len(mul) == q and one != 0
@@ -277,11 +280,12 @@ def test_candidate_lists_are_pinned(params, count, digest):
     assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == digest
 
 
-def test_covers_match_the_subset_enumeration():
-    # random masks (never empty: the search picks masks that hold an open bit)
-    # and needs read off a planted set of masks, pairwise meeting in `meet`
+def random_cover_instances():
+    """400 (masks, holders, need, meet): random masks (never empty: the search
+    picks masks that hold an open bit) and needs read off a planted set of
+    masks, pairwise meeting in `meet`."""
     rng = random.Random(2)
-    several = {False: 0, True: 0}
+    instances = []
     for _ in range(400):
         width, count = rng.randint(1, 6), rng.randint(1, 12)
         masks = [rng.randint(1, (1 << width) - 1) for _ in range(count)]
@@ -291,12 +295,58 @@ def test_covers_match_the_subset_enumeration():
             if meet is None or all((masks[i] & masks[j]).bit_count() == meet for i in planted):
                 planted.append(j)
         need = [sum(masks[j] >> b & 1 for j in planted) for b in range(width)]
-        holders = symmetric._holders(masks, width)
-        covers = symmetric._covers(masks, holders, need, (1 << count) - 1, meet)
+        instances.append((masks, symmetric._holders(masks, width), need, meet))
+    return instances
+
+
+def test_covers_match_the_subset_enumeration():
+    several = {False: 0, True: 0}
+    for masks, holders, need, meet in random_cover_instances():
+        covers = symmetric._covers(masks, holders, need, (1 << len(masks)) - 1, meet)
         covers = sorted(tuple(sorted(cover)) for cover in covers)
         assert covers == sorted(exact_covers_brute(masks, need, meet))
         several[meet is not None] += len(covers) > 1
     assert min(several.values()) >= 20
+
+
+def generator_steps(v, k, lam):
+    """The arguments of the generator's two exact covers for 2-(v, k, lam):
+    the candidate blocks, then their completion."""
+    derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
+    rows = [sum(1 << j for j in block) for block in derived]
+    candidates = candidate_masks(v, k, lam)
+    return [(rows, symmetric._holders(rows, k), [lam] * k, (1 << len(rows)) - 1, None),
+            (candidates, symmetric._holders(candidates, v - 1), [k - lam] * (v - 1),
+             (1 << len(candidates)) - 1, lam)]
+
+
+def test_covers_keep_the_copying_walks_order():
+    # the generator takes the first completion, so the order of the covers,
+    # not only their set, fixes which design it builds
+    for masks, holders, need, meet in random_cover_instances():
+        live = (1 << len(masks)) - 1
+        assert (list(symmetric._covers(masks, holders, need, live, meet))
+                == list(covers_copying(masks, holders, need, live, meet)))
+    for params in ((25, 9, 3), (31, 10, 3)):
+        for step, args in enumerate(generator_steps(*params)):
+            # all 96 completions of 2-(25,9,3); the first 3 of the 12 of
+            # 2-(31,10,3), as the copying walk takes 5 s over all of them
+            prefix = 3 if (params, step) == ((31, 10, 3), 1) else None
+            assert (list(islice(symmetric._covers(*args), prefix))
+                    == list(islice(covers_copying(*args), prefix))), (params, step)
+
+
+def test_generator_leaves_no_reference_cycle():
+    # the cover walk's counts, supports and meet rows must be freed on return,
+    # not left for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        for params in ((16, 6, 2), (25, 9, 3), (31, 10, 3)):
+            symmetric_design(*params)
+            assert gc.collect() == 0, params
+    finally:
+        gc.enable()
 
 
 def test_rotational_triples_cover_every_pair_twice():
