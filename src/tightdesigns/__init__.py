@@ -16,7 +16,6 @@ from .designs import (
     WrongShellCount,
     complement,
     load,
-    make_design,
     relation_profile,
     save,
     shells_of,
@@ -24,11 +23,9 @@ from .designs import (
 from .feasibility import ParameterRow, candidate_row, enumerate_rows
 from .hamming import (
     BinaryWord,
-    DegenerateGram,
     GramParameters,
     binomial,
     gram_closed_form,
-    gram_schmidt_closed_form,
     krawtchouk,
     shell_intersection,
 )

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import product
 
 from .designs import WeightedDesign
-from .hamming import BinaryWord
+from .hamming import BinaryWord, incidence_fault
 
 
 class BadModulus(ValueError):
@@ -117,20 +117,8 @@ class SymmetricDesign:
             raise ValueError(f"lam(v-1) != k(k-1) for 2-({v},{k},{lam})")
         if len(self.blocks) != v or len(set(self.blocks)) != v:
             raise ValueError("need v pairwise distinct blocks")
-        degree = [0] * v
-        for block in self.blocks:
-            if len(block) != k or any(not 0 <= x < v for x in block):
-                raise ValueError("blocks must be k-subsets of 0..v-1")
-            for x in block:
-                degree[x] += 1
-        if any(d != k for d in degree):
-            raise ValueError("every point must lie in exactly k blocks")
-        for x, y in combinations(range(v), 2):
-            if sum(1 for b in self.blocks if x in b and y in b) != lam:
-                raise ValueError(f"pair ({x},{y}) is not in exactly {lam} blocks")
-        for b1, b2 in combinations(self.blocks, 2):
-            if len(b1 & b2) != lam:
-                raise ValueError("two blocks meet in != lam points")
+        if fault := incidence_fault(range(v), self.blocks, k, k, (lam,), (lam,)):
+            raise ValueError(fault)
 
 
 def projective_geometry(d: int, q: int) -> SymmetricDesign:
@@ -251,25 +239,12 @@ def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) ->
 # Hadamard 2-designs by order, and the built catalog
 
 
-def hadamard_of_order(order: int) -> SymmetricDesign:
-    """The Hadamard 2-design whose bordered incidence matrix has this order:
-    Sylvester's when it is a power of two, else Paley's on GF(order - 1).
-    Raises BadOrder, naming the order, when it is below 4, not divisible by 4,
-    or neither a power of two nor p^k + 1 (then p^k = 3 (mod 4))."""
-    if order >= 4 and order % 4 == 0:
-        try:
-            return hadamard_source(order)()
-        except BadModulus:  # order - 1 is no prime power
-            pass
-    raise BadOrder(f"cannot build a Hadamard 2-design of order {order}: Sylvester's needs "
-                   "a power of two >= 4, Paley's p^k + 1 with p^k = 3 (mod 4)")
-
-
 def hadamard_source(order: int) -> partial:
-    """The build hadamard_of_order(order) runs for an order 4t >= 4, unrun: a
-    partial of projective_geometry, or else of paley_design, which raises
-    BadModulus when order - 1 is no prime power.  Catalog entries reading one
-    design compare equal."""
+    """The build of the Hadamard 2-design whose bordered incidence matrix has
+    order 4t >= 4, unrun: a partial of projective_geometry (Sylvester's) when
+    the order is a power of two, or else of paley_design on GF(order - 1),
+    which raises BadModulus when order - 1 is no prime power.  Catalog entries
+    reading one design compare equal."""
     if order & (order - 1) == 0:
         return partial(projective_geometry, order.bit_length() - 2, 2)
     return partial(paley_design, order - 1)
@@ -278,7 +253,8 @@ def hadamard_source(order: int) -> partial:
 def known_designs() -> list[tuple[str, WeightedDesign]]:
     """Every catalog entry, built, in order: the designs of `catalog.registry()`
     with their labels, each base construction followed by its
-    H(n,2)-complement, every first-shell weight 1."""
+    H(n,2)-complement, every first-shell weight 1.  The package reads
+    `catalog.registry()` itself; the benchmark still times this function."""
     from . import catalog  # the catalog lists this module's constructions
 
     registry = catalog.registry()

@@ -6,7 +6,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .hamming import BinaryWord
 
@@ -47,12 +47,6 @@ class WeightedDesign:
     @property
     def size(self) -> int:
         return len(self.points)
-
-
-def make_design(n: int, supports: Iterable[Iterable[int]], weights) -> WeightedDesign:
-    """Convenience builder from 1-based coordinate supports."""
-    pts = tuple(BinaryWord.from_support(n, s) for s in supports)
-    return WeightedDesign(n, pts, tuple(Fraction(w) for w in weights))
 
 
 @dataclass(frozen=True)

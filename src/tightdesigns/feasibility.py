@@ -138,24 +138,6 @@ def to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[ParameterRow]:
-    """Inverse of to_csv; the overlap parameter a is recovered from gamma."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 11:
-            raise ValueError(f"expected 11 fields, got {len(fields)}: {line!r}")
-        n, r1, r2, n1, n2, a1, a2, gamma = (int(x) for x in fields[:8])
-        w, l1, l2 = (Fraction(x) for x in fields[8:])
-        rows.append(
-            ParameterRow(n, r1, r2, n1, n2, a1, a2, gamma, w, l1, l2, (gamma - (r2 - r1)) // 2)
-        )
-    return rows
-
-
 def row_to_dict(row: ParameterRow) -> dict:
     return {
         "n": row.n, "r1": row.r1, "r2": row.r2, "N1": row.n1, "N2": row.n2,

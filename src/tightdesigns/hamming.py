@@ -2,21 +2,18 @@
 
 Everything here is integer or rational arithmetic: binomial coefficients,
 Krawtchouk polynomials, shell intersection counts, words split by their meet
-with a support, k-subsets by rank and by member, the closed-form Gram data of
-the degree-<=1 eigenfunctions on two shells and its closed-form Gram-Schmidt
-orthogonalization.  No floating point; intermediate integers routinely exceed
-64 bits (C(30,15)^2 scale).
+with a support, the incidence check of a block system, k-subsets by rank and
+by member, and the closed-form Gram data of the degree-<=1 eigenfunctions on
+two shells.  No floating point; intermediate integers routinely exceed 64 bits
+(C(30,15)^2 scale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
-
-
-class DegenerateGram(ValueError):
-    """A closed-form Gram-Schmidt denominator vanished."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -120,6 +117,36 @@ def meet_classes(members, support, everything: int) -> list[int]:
     return exactly
 
 
+def incidence_fault(ground: range, blocks, size: int, degree: int, meets, pairs) -> str | None:
+    """The first condition the blocks break, or None: each block is a
+    `size`-subset of `ground`, every point lies in `degree` blocks, any two
+    points lie together in a number of blocks in `pairs`, and any two blocks
+    meet in a number of points in `meets`.  Each block is kept as a bitset of
+    its points and each point as a bitset of its blocks, so every count is a
+    popcount.  Two users: symmetric designs (constructions) and the search's
+    witnesses (nonexistence)."""
+    rows, columns = [], [0] * len(ground)
+    for j, block in enumerate(blocks):
+        bits = 0
+        for x in block:
+            if x not in ground:
+                return f"point {x} outside {ground.start}..{ground.stop - 1}"
+            bits |= 1 << (x - ground.start)
+            columns[x - ground.start] |= 1 << j
+        if bits.bit_count() != size:
+            return f"blocks must be {size}-subsets of {ground.start}..{ground.stop - 1}"
+        rows.append(bits)
+    if any(column.bit_count() != degree for column in columns):
+        return f"every point must lie in exactly {degree} blocks"
+    for (x, a), (y, b) in combinations(enumerate(columns, ground.start), 2):
+        if (a & b).bit_count() not in pairs:
+            return f"pair ({x},{y}) lies in {(a & b).bit_count()} blocks"
+    for a, b in combinations(rows, 2):
+        if (a & b).bit_count() not in meets:
+            return f"two blocks meet in {(a & b).bit_count()} points"
+    return None
+
+
 def unrank_subset(n: int, k: int, rank: int) -> tuple[int, ...]:
     """The k-subset of range(n) at this index in the order of
     itertools.combinations: the C(n-x-1, k-1) subsets that start at x come
@@ -213,32 +240,3 @@ def gram_closed_form(n: int, r1: int, r2: int, W1: Fraction, W2: Fraction) -> Gr
         c2 += W * t_c2
     return GramParameters(n, r1, r2, W1, W2, d0, c0, c2)
 
-
-def gram_schmidt_closed_form(g: GramParameters) -> tuple[list[Fraction], list[Fraction]]:
-    """Orthogonalize (phi_1, ..., phi_n, phi_0) using the closed forms.
-
-    Returns (coefficients, squared norms), both of length n+1, where
-
-      h_1     = phi_1
-      h_i     = phi_i - coefficients[i-1] * (phi_1 + ... + phi_{i-1}),  2 <= i <= n
-      h_{n+1} = phi_0 - coefficients[n] * (phi_1 + ... + phi_n)
-
-    and squared norms are c0, (c0-c2)(c0+(i-1)c2)/(c0+(i-2)c2), and
-    W1 + W2 - n*d0^2/(c0+(n-1)c2).
-    """
-    n, c0, c2, d0 = g.n, g.c0, g.c2, g.d0
-    if c0 == c2:
-        raise DegenerateGram("c0 = c2")
-    for i in range(2, n + 2):
-        if c0 + (i - 2) * c2 == 0:
-            raise DegenerateGram(f"c0 + {i - 2}*c2 = 0")
-    coefficients = [Fraction(0)]
-    norms = [c0]
-    for i in range(2, n + 1):
-        den = c0 + (i - 2) * c2
-        coefficients.append(c2 / den)
-        norms.append((c0 - c2) * (c0 + (i - 1) * c2) / den)
-    last_den = c0 + (n - 1) * c2
-    coefficients.append(d0 / last_den)
-    norms.append(g.weight_sum - n * d0 * d0 / last_den)
-    return coefficients, norms

@@ -25,7 +25,7 @@ from . import catalog, verify
 # relation_profile is not called here; the benchmark's tracer counts it under this name
 from .designs import WeightedDesign, relation_profile, save  # noqa: F401
 from .feasibility import ParameterRow, row_to_dict
-from .hamming import binomial, meet_classes, subset_members, unrank_subset
+from .hamming import binomial, incidence_fault, meet_classes, subset_members, unrank_subset
 
 DEFAULT_BUDGET = 10**9
 
@@ -209,24 +209,8 @@ def _shell_parameters(row: ParameterRow, shell: int, solutions):
 def check_shell_config(row: ParameterRow, shell: int, solutions, blocks) -> bool:
     """Independent re-validation of a search witness against all constraints."""
     n_blocks, size, meet, degree, domain = _shell_parameters(row, shell, solutions)
-    sets = [set(b) for b in blocks]
-    if len(sets) != n_blocks or any(len(b) != size for b in sets):
-        return False
-    ground: set[int] = set()
-    for b in sets:
-        if not all(1 <= x <= row.n for x in b):
-            return False
-        ground |= b
-    for b1, b2 in combinations(sets, 2):
-        if len(b1 & b2) != meet:
-            return False
-    degrees = {x: sum(1 for b in sets if x in b) for x in ground}
-    if any(d != degree for d in degrees.values()):
-        return False
-    for x, y in combinations(sorted(ground), 2):
-        if sum(1 for b in sets if x in b and y in b) not in domain:
-            return False
-    return True
+    return len(blocks) == n_blocks and incidence_fault(
+        range(1, row.n + 1), blocks, size, degree, (meet,), domain) is None
 
 
 def csp_search(row: ParameterRow, shell: int, solutions, budget: int = DEFAULT_BUDGET) -> Verdict:

@@ -2,10 +2,12 @@
 two-equation solve for the point counts, the degree-2 moment solve for the
 per-pair counts, an exhaustive integer solve of the pair-count moments, the
 per-pattern compatibility scan, the popcount scan of meets, the subset
-enumeration of exact covers and a cover walk that copies its counts at every
-node, kept as test oracles for the closed forms, the divisibility-driven
-enumeration, the moment rule, the meet recurrence and the symmetric-design
-generator's exact cover and its order.
+enumeration of exact covers, a cover walk that copies its counts at every
+node, and the per-pair block scans of symmetric designs and of search
+witnesses, kept as test oracles for the closed forms, the
+divisibility-driven enumeration, the moment rule, the meet recurrence, the
+symmetric-design generator's exact cover and its order, and the bitset
+incidence check.
 
 Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.feasibility.enumerate_rows`,
@@ -13,16 +15,45 @@ Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
 `tightdesigns.nonexistence.pair_lambda_solutions`, the moment rule of
 `tightdesigns.nonexistence.counting_filters`, the compatibility rows
 of `tightdesigns.nonexistence._pattern_search`,
-`tightdesigns.hamming.meet_classes` and `tightdesigns.symmetric._covers`
-replace them, and the tests compare the two.
+`tightdesigns.hamming.meet_classes`, `tightdesigns.symmetric._covers` and
+`tightdesigns.hamming.incidence_fault` replace them, and the tests compare
+the two.
+
+Two test helpers live here too: `make_design`, a WeightedDesign from 1-based
+supports, and `parse_csv`, the inverse of `feasibility.to_csv`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from tightdesigns.feasibility import candidate_row
-from tightdesigns.hamming import binomial, krawtchouk, meet_classes
-from tightdesigns.nonexistence import PairLambdaSolution
+from tightdesigns.designs import WeightedDesign
+from tightdesigns.feasibility import CSV_HEADER, ParameterRow, candidate_row
+from tightdesigns.hamming import BinaryWord, binomial, krawtchouk, meet_classes
+from tightdesigns.nonexistence import PairLambdaSolution, _shell_parameters
+
+
+def make_design(n: int, supports, weights) -> WeightedDesign:
+    """Convenience builder from 1-based coordinate supports."""
+    pts = tuple(BinaryWord.from_support(n, s) for s in supports)
+    return WeightedDesign(n, pts, tuple(Fraction(w) for w in weights))
+
+
+def parse_csv(text: str) -> list[ParameterRow]:
+    """Inverse of to_csv; the overlap parameter a is recovered from gamma."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("missing or unexpected CSV header")
+    rows = []
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != 11:
+            raise ValueError(f"expected 11 fields, got {len(fields)}: {line!r}")
+        n, r1, r2, n1, n2, a1, a2, gamma = (int(x) for x in fields[:8])
+        w, l1, l2 = (Fraction(x) for x in fields[8:])
+        rows.append(
+            ParameterRow(n, r1, r2, n1, n2, a1, a2, gamma, w, l1, l2, (gamma - (r2 - r1)) // 2)
+        )
+    return rows
 
 
 def enumerate_rows_exhaustive(n_min: int, n_max: int) -> list:
@@ -240,19 +271,56 @@ def covers_copying(masks, holders, need, live, meet=None, chosen=()):
         yield from covers_copying(masks, holders, rest, child, meet, chosen + (j,))
 
 
+def symmetric_design_scan(v, k, lam, blocks) -> None:
+    """Raise ValueError unless the blocks form a symmetric 2-(v, k, lam)
+    design on points 0..v-1: every pair of points by a scan of all v blocks."""
+    if lam * (v - 1) != k * (k - 1):
+        raise ValueError(f"lam(v-1) != k(k-1) for 2-({v},{k},{lam})")
+    if len(blocks) != v or len(set(blocks)) != v:
+        raise ValueError("need v pairwise distinct blocks")
+    degree = [0] * v
+    for block in blocks:
+        if len(block) != k or any(not 0 <= x < v for x in block):
+            raise ValueError("blocks must be k-subsets of 0..v-1")
+        for x in block:
+            degree[x] += 1
+    if any(d != k for d in degree):
+        raise ValueError("every point must lie in exactly k blocks")
+    for x, y in combinations(range(v), 2):
+        if sum(1 for b in blocks if x in b and y in b) != lam:
+            raise ValueError(f"pair ({x},{y}) is not in exactly {lam} blocks")
+    for b1, b2 in combinations(blocks, 2):
+        if len(b1 & b2) != lam:
+            raise ValueError("two blocks meet in != lam points")
+
+
+def shell_config_scan(row, shell, solutions, blocks) -> bool:
+    """Whether the blocks are a configuration of the row's shell: sizes,
+    points in 1..n, block meets, degrees and, for every pair of covered
+    points by a scan of all blocks, its containment count."""
+    n_blocks, size, meet, degree, domain = _shell_parameters(row, shell, solutions)
+    sets = [set(b) for b in blocks]
+    if len(sets) != n_blocks or any(len(b) != size for b in sets):
+        return False
+    ground: set[int] = set()
+    for b in sets:
+        if not all(1 <= x <= row.n for x in b):
+            return False
+        ground |= b
+    for b1, b2 in combinations(sets, 2):
+        if len(b1 & b2) != meet:
+            return False
+    degrees = {x: sum(1 for b in sets if x in b) for x in ground}
+    if any(d != degree for d in degrees.values()):
+        return False
+    for x, y in combinations(sorted(ground), 2):
+        if sum(1 for b in sets if x in b and y in b) not in domain:
+            return False
+    return True
+
+
 class SingularLeadingMinor(ValueError):
     """A leading principal minor (Gram determinant) is zero."""
-
-
-def gram_matrix(g) -> list[list[Fraction]]:
-    """The (n+1) x (n+1) Gram matrix of GramParameters g, basis order (phi_1..phi_n, phi_0)."""
-    n = g.n
-    matrix = [[g.c2] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        matrix[i][i] = g.c0
-        matrix[i][n] = matrix[n][i] = g.d0
-    matrix[n][n] = g.weight_sum
-    return matrix
 
 
 def gram_schmidt_generic(gram) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -11,17 +11,15 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from oracles import gram_matrix, gram_schmidt_generic
+from oracles import make_design
 from reference_table import EMPTY_N, REFERENCE_ROWS
 from tightdesigns import constructions, verify
-from tightdesigns.designs import WeightedDesign, complement, make_design, shells_of
+from tightdesigns.designs import WeightedDesign, complement, shells_of
 from tightdesigns.feasibility import enumerate_rows, to_csv
 from tightdesigns.hamming import (
     BinaryWord,
-    DegenerateGram,
     binomial,
     gram_closed_form,
-    gram_schmidt_closed_form,
     krawtchouk,
 )
 from tightdesigns.nonexistence import construction_registry, decide
@@ -85,7 +83,7 @@ def test_criterion_2_constructions_verified():
     failures = []
     hadamard_rows = {3: (6, 2, 3), 7: (14, 2, 7), 11: (22, 2, 11), 15: (30, 2, 15)}
     for m, (n, r1, r2) in hadamard_rows.items():
-        design = constructions.hadamard_design(constructions.hadamard_of_order(m + 1))
+        design = constructions.hadamard_design(constructions.hadamard_source(m + 1)())
         label = f"hadamard m={m}"
         (got_r1, _n1, w1), (got_r2, _n2, w2) = shells_of(design).shells
         if (design.n, got_r1, got_r2) != (n, r1, r2) or w2 / w1 != Fraction(8, n + 2):
@@ -200,14 +198,6 @@ def test_criterion_4_property_suites():
                     if (g.d0, g.c0, g.c2) != expected:
                         failures.append(f"gram mismatch at {(n, r1, r2, W1, W2)}")
                         break
-                    # closed-form orthogonalization == generic, same corpus
-                    try:
-                        _, closed_norms = gram_schmidt_closed_form(g)
-                    except DegenerateGram:
-                        continue
-                    _, generic_norms = gram_schmidt_generic(gram_matrix(g))
-                    if closed_norms != generic_norms:
-                        failures.append(f"gram-schmidt mismatch at {(n, r1, r2, W1, W2)}")
 
     # the two design criteria agree on a corpus of >= 200 weighted subsets
     corpus = []

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import make_design, parse_csv
 from tightdesigns import cli, constructions
-from tightdesigns.designs import WeightedDesign, load, make_design, save
-from tightdesigns.feasibility import parse_csv
+from tightdesigns.designs import WeightedDesign, load, save
 
 
 def run_cli(capsys, *argv):
@@ -493,8 +493,14 @@ HADAMARD_SHA256 = {
 HADAMARD_ERRORS = {
     -5: "error: m = -5 needs m >= 3\n",  # -5 % 4 == 3
     -1: "error: m = -1 needs m >= 3\n",  # m + 1 = 0 would pass as a power of two
+    0: "error: m = 0 needs m >= 3\n",
+    1: "error: m = 1 needs m >= 3\n",
+    2: "error: m = 2 needs m >= 3\n",
     4: "error: m = 4 needs m = 3 (mod 4)\n",
+    5: "error: m = 5 needs m = 3 (mod 4)\n",
+    9: "error: m = 9 needs m = 3 (mod 4)\n",
     35: "error: need an odd prime power q = 3 (mod 4), got 35\n",
+    51: "error: need an odd prime power q = 3 (mod 4), got 51\n",  # 35 and 51 are no prime powers
 }
 
 

@@ -19,7 +19,7 @@ from tightdesigns.constructions import (
     from_symmetric_complemented,
     from_symmetric_residual,
     hadamard_design,
-    hadamard_of_order,
+    hadamard_source,
     known_designs,
     paley_design,
     projective_geometry,
@@ -59,7 +59,7 @@ def test_sylvester_orders():
     ],
 )
 def test_hadamard_design_parameters(m, ratio, expected):
-    design = hadamard_design(hadamard_of_order(m + 1))
+    design = hadamard_design(hadamard_source(m + 1)())
     r1, r2, n1, n2, w = shell_summary(design)
     assert (r1, r2, n1, n2) == expected
     assert w == ratio == Fraction(8, design.n + 2)
@@ -74,14 +74,6 @@ def test_hadamard_design_bad_order():
         hadamard_design(projective_geometry(2, 3))  # 2-(13,4,1) is not a Hadamard 2-design
     with pytest.raises(BadOrder):
         hadamard_design(complement_design(paley_design(7)))  # 2-(7,4,2): m = 7, k != 3
-
-
-@pytest.mark.parametrize("order", [-4, 0, 1, 2, 3, 6, 10, 36, 52])
-def test_hadamard_of_order_names_the_order(order):
-    # below 4, not divisible by 4, or neither a power of two nor a prime power
-    # plus one (35 and 51 are no prime powers)
-    with pytest.raises(BadOrder, match=rf"of order {order}:"):
-        hadamard_of_order(order)
 
 
 @pytest.mark.parametrize("q, v, k, lam", [(2, 7, 3, 1), (3, 13, 4, 1), (4, 21, 5, 1), (5, 31, 6, 1)])

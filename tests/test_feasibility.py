@@ -3,12 +3,11 @@ from math import gcd
 
 import pytest
 
-from oracles import enumerate_rows_exhaustive
+from oracles import enumerate_rows_exhaustive, parse_csv
 from reference_table import REFERENCE_ROWS, EMPTY_N
 from tightdesigns.feasibility import (
     candidate_row,
     enumerate_rows,
-    parse_csv,
     row_to_dict,
     to_csv,
     to_json_lines,

@@ -1,22 +1,32 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
 
-from oracles import SingularLeadingMinor, gram_matrix, gram_schmidt_generic, meet_classes_scan
+from oracles import (
+    SingularLeadingMinor,
+    gram_schmidt_generic,
+    meet_classes_scan,
+    shell_config_scan,
+    symmetric_design_scan,
+)
+from tightdesigns import catalog, constructions
+from tightdesigns.constructions import SymmetricDesign
+from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import (
     BinaryWord,
-    DegenerateGram,
     binomial,
     gram_closed_form,
-    gram_schmidt_closed_form,
+    incidence_fault,
     krawtchouk,
     meet_classes,
     shell_intersection,
     subset_members,
     unrank_subset,
 )
+from tightdesigns.nonexistence import check_shell_config, csp_search, pair_lambda_solutions
 
 
 def pascal_binomial(n, k):
@@ -168,38 +178,6 @@ def test_gram_closed_form_errors():
         gram_closed_form(6, 2, 3, Fraction(0), Fraction(1))
 
 
-def test_gram_schmidt_closed_form_first_norm_and_orthogonal_case():
-    # c2 = 0 here, so the first n vectors are already orthogonal
-    g = gram_closed_form(6, 2, 3, Fraction(3), Fraction(4))
-    coefficients, norms = gram_schmidt_closed_form(g)
-    assert norms[0] == g.c0
-    assert coefficients[:6] == [0] * 6
-    assert norms[:6] == [g.c0] * 6
-
-
-def test_gram_schmidt_closed_vs_generic():
-    for n, r1, r2, W1, W2 in (
-        (6, 2, 3, 3, 4),          # the shell weights of the first classified design
-        (8, 3, 5, Fraction(1, 2), 2),
-        (10, 2, 7, 5, Fraction(3, 7)),
-    ):
-        g = gram_closed_form(n, r1, r2, Fraction(W1), Fraction(W2))
-        coefficients, closed_norms = gram_schmidt_closed_form(g)
-        expansion, generic_norms = gram_schmidt_generic(gram_matrix(g))
-        assert closed_norms == generic_norms
-        # the closed-form mixing coefficients match the generic expansion rows
-        for i in range(1, n):
-            assert expansion[i][:i] == [-coefficients[i]] * i
-        assert expansion[n][:n] == [-coefficients[n]] * n
-
-
-def test_gram_schmidt_degenerate():
-    g = gram_closed_form(6, 2, 3, Fraction(3), Fraction(4))
-    bad = type(g)(g.n, g.r1, g.r2, g.W1, g.W2, g.d0, g.c0, g.c0)  # forces c0 = c2
-    with pytest.raises(DegenerateGram):
-        gram_schmidt_closed_form(bad)
-
-
 def test_gram_schmidt_generic_identity_and_two_by_two():
     _, norms = gram_schmidt_generic([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert norms == [1, 1]
@@ -259,3 +237,92 @@ def test_subsets_unrank_and_members_match_combinations(n):
         assert [unrank_subset(n, k, j) for j in range(len(subsets))] == subsets
         assert subset_members(n, k) == [sum(1 << j for j, s in enumerate(subsets) if x in s)
                                         for x in range(n)]
+
+
+def test_incidence_fault_names_the_first_broken_condition():
+    fano = [[1, 3, 5], [0, 3, 4], [2, 3, 6], [0, 1, 2], [1, 4, 6], [0, 5, 6], [2, 4, 5]]
+    assert incidence_fault(range(7), fano, 3, 3, {1}, {1}) is None
+    assert incidence_fault(range(1, 8), [[x + 1 for x in b] for b in fano], 3, 3, {1}, {1}) is None
+    assert incidence_fault(range(6), fano, 3, 3, {1}, {1}) == "point 6 outside 0..5"
+    assert incidence_fault(range(7), fano, 4, 3, {1}, {1}) == "blocks must be 4-subsets of 0..6"
+    assert (incidence_fault(range(7), fano, 3, 2, {1}, {1})
+            == "every point must lie in exactly 2 blocks")
+    assert incidence_fault(range(7), fano, 3, 3, {1}, {0, 2}) == "pair (0,1) lies in 1 blocks"
+    assert incidence_fault(range(7), fano, 3, 3, {0, 2}, {1}) == "two blocks meet in 1 points"
+
+
+def broken_copies(blocks, ground: range, outside):
+    """The blocks, as sorted lists, each with one change that breaks them: a
+    point of the first block moved to a point it lacks, a point repeated in
+    it in place of another (when it has two), a point of `outside` put in it,
+    the first block dropped, the last replaced by a copy of the first."""
+    blocks = [sorted(block) for block in blocks]
+    first, rest = blocks[0], blocks[1:]
+    lacking = next(x for x in ground if x not in first)
+    yield [[lacking] + first[1:]] + rest
+    if len(first) > 1:
+        yield [first[:-1] + first[:1]] + rest
+    for x in outside:
+        yield [first[:-1] + [x]] + rest
+    yield rest
+    yield blocks[:-1] + [first]
+
+
+def swapped(blocks):
+    """The blocks with a point of the first and a point of the second, each
+    missing from the other, swapped: every degree is kept."""
+    first, second, *rest = [sorted(block) for block in blocks]
+    x = next(p for p in first if p not in second)
+    y = next(p for p in second if p not in first)
+    return [[y if p == x else p for p in first], [x if p == y else p for p in second]] + rest
+
+
+def symmetric_designs():
+    """The catalog's symmetric designs (Hadamard 2-designs of orders 4..16 and
+    the designs it splits), then PG(d, 2) for v = 3..63."""
+    sources = [constructions.hadamard_source(m + 1) for m in (3, 7, 11, 15)]
+    sources += [source for _name, _v, _k, source in catalog.SYMMETRIC]
+    sources += [partial(constructions.projective_geometry, d, 2) for d in range(1, 6)]
+    return [source() for source in sources]
+
+
+def accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_incidence_fault_agrees_with_the_symmetric_design_scan():
+    for design in symmetric_designs():
+        v, k, lam = design.v, design.k, design.lam
+        relabeled = [[v - 1 - x for x in block] for block in design.blocks]
+        cases = [(design.blocks, True), (relabeled, True), (swapped(design.blocks), None)]
+        cases += [(blocks, False) for blocks in broken_copies(design.blocks, range(v), [v])]
+        for blocks, valid in cases:
+            blocks = tuple(map(frozenset, blocks))  # a repeated point drops out
+            new = accepts(SymmetricDesign, v, k, lam, blocks)
+            assert new == accepts(symmetric_design_scan, v, k, lam, blocks)
+            assert valid is None or new == valid
+
+
+def test_incidence_fault_agrees_with_the_witness_scan():
+    witnesses = 0
+    for row in enumerate_rows(6, 30):
+        solutions = pair_lambda_solutions(row)
+        for shell in (1, 2) if solutions else ():
+            verdict = csp_search(row, shell, solutions, budget=50000)
+            if not verdict.found:
+                continue
+            witnesses += 1
+            found = verdict.witness["blocks"]
+            relabeled = [[row.n + 1 - x for x in block] for block in found]
+            cases = [(found, True), (relabeled, True), (swapped(found), None)]
+            cases += [(blocks, False)
+                      for blocks in broken_copies(found, range(1, row.n + 1), [0, row.n + 1])]
+            for blocks, valid in cases:
+                new = check_shell_config(row, shell, solutions, blocks)
+                assert new == shell_config_scan(row, shell, solutions, blocks)
+                assert valid is None or new == valid
+    assert witnesses == 62

@@ -7,11 +7,11 @@ from math import lcm
 
 import pytest
 
+from oracles import make_design
 from tightdesigns import constructions, verify
 from tightdesigns.designs import (
     WeightedDesign,
     WrongShellCount,
-    make_design,
     shells_of,
 )
 from tightdesigns.hamming import (
