@@ -7,7 +7,7 @@ from itertools import combinations, islice, product
 import pytest
 
 from oracles import covers_copying, exact_covers_brute
-from tightdesigns import constructions, symmetric, verify
+from tightdesigns import cli, constructions, symmetric, verify
 from tightdesigns.constructions import (
     BadModulus,
     BadOrder,
@@ -74,6 +74,20 @@ def test_hadamard_design_bad_order():
         hadamard_design(projective_geometry(2, 3))  # 2-(13,4,1) is not a Hadamard 2-design
     with pytest.raises(BadOrder):
         hadamard_design(complement_design(paley_design(7)))  # 2-(7,4,2): m = 7, k != 3
+
+
+@pytest.mark.parametrize("order", [-4, 0, 1, 2, 3, 6, 10, 36, 52])
+def test_hadamard_of_order_names_the_order(capsys, tmp_path, order):
+    # below 4, not divisible by 4, or neither a power of two nor a prime power
+    # plus one (35 and 51 are no prime powers): `construct hadamard --m M`
+    # builds order M + 1, refuses these, and names M in its error
+    target = tmp_path / "d.json"
+    code = cli.run(["construct", "hadamard", "--m", str(order - 1), "--out", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+    assert str(order - 1) in captured.err.split()
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("q, v, k, lam", [(2, 7, 3, 1), (3, 13, 4, 1), (4, 21, 5, 1), (5, 31, 6, 1)])
