@@ -21,14 +21,7 @@ from .designs import (
     shells_of,
 )
 from .feasibility import ParameterRow, candidate_row, enumerate_rows
-from .hamming import (
-    BinaryWord,
-    GramParameters,
-    binomial,
-    gram_closed_form,
-    krawtchouk,
-    shell_intersection,
-)
+from .hamming import BinaryWord, binomial, krawtchouk, shell_intersection
 from .nonexistence import (
     PairLambdaSolution,
     PointLambdas,

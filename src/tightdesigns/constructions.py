@@ -115,6 +115,9 @@ class SymmetricDesign:
         v, k, lam = self.v, self.k, self.lam
         if lam * (v - 1) != k * (k - 1):
             raise ValueError(f"lam(v-1) != k(k-1) for 2-({v},{k},{lam})")
+        for block in self.blocks:
+            if not isinstance(block, frozenset):
+                raise ValueError(f"blocks must be frozensets, not {type(block).__name__}")
         if len(self.blocks) != v or len(set(self.blocks)) != v:
             raise ValueError("need v pairwise distinct blocks")
         if fault := incidence_fault(range(v), self.blocks, k, k, (lam,), (lam,)):

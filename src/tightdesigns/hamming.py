@@ -1,17 +1,17 @@
 """Exact primitives of the binary Hamming scheme H(n,2).
 
-Everything here is integer or rational arithmetic: binomial coefficients,
-Krawtchouk polynomials, shell intersection counts, words split by their meet
-with a support, the incidence check of a block system, k-subsets by rank and
-by member, and the closed-form Gram data of the degree-<=1 eigenfunctions on
-two shells.  No floating point; intermediate integers routinely exceed 64 bits
-(C(30,15)^2 scale).
+Everything here is integer arithmetic: binomial coefficients, Krawtchouk
+polynomials, shell intersection counts, words split by their meet with a
+support, the incidence check of a block system, and k-subsets by rank and by
+member.  The moment and frame checks of `verify` count their design sums with
+the meet classes and their shell averages with the shell intersections.  No
+floating point; intermediate integers routinely exceed 64 bits (C(30,15)^2
+scale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -90,7 +90,8 @@ def shell_intersection(n: int, j: int, r: int, nu: int) -> int:
     """|X_r intersect Gamma_nu(u)| for any word u of weight j.
 
     Nonzero only when nu = j + r - 2i for an integer i (the overlap of the
-    two supports); the count is then C(j, i) * C(n-j, r-i).
+    two supports); the count is then C(j, i) * C(n-j, r-i).  Two users: the
+    shell averages of the moment and frame checks (verify) and selftest.
     """
     if not (0 <= j <= n and 0 <= r <= n and 0 <= nu <= n):
         raise ValueError(f"shell_intersection arguments out of range: {(n, j, r, nu)}")
@@ -178,65 +179,3 @@ def subset_members(n: int, k: int) -> list[int]:
                 low | high << first
                 for low, high in zip(below.get(size - 1, zeros), below.get(size, zeros))]
     return level[k]
-
-
-@dataclass(frozen=True)
-class GramParameters:
-    """Inner products of the constant and degree-1 eigenfunctions on two shells.
-
-    The inner product is the weighted shell average <f,g> = sum_i
-    (W_i/|X_{r_i}|) sum_{x in X_{r_i}} f(x) g(x).  With phi_0 = 1 and
-    phi_i(x) = Q_1(distance(e_i, x)):
-
-      d0 = <phi_i, phi_0>, c0 = <phi_i, phi_i>, c2 = <phi_i, phi_j> (i != j).
-    """
-
-    n: int
-    r1: int
-    r2: int
-    W1: Fraction
-    W2: Fraction
-    d0: Fraction
-    c0: Fraction
-    c2: Fraction
-
-    @property
-    def weight_sum(self) -> Fraction:
-        """<phi_0, phi_0> = W1 + W2."""
-        return self.W1 + self.W2
-
-
-def gram_shell_terms(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Per-unit-weight contributions of one shell to (d0, c0, c2).
-
-    The inner products are sums over shells, each shell contributing its
-    weight times these closed forms; valid for any 1 <= r <= n-1.
-    """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"shell index out of range: r={r}, n={n}")
-    t_d0 = Fraction((n - 2) * (n - 2 * r), n)
-    t_c0 = Fraction(4 * (n - 4) * r * r - 4 * n * (n - 4) * r + n * (n - 2) ** 2, n)
-    t_c2 = Fraction(
-        4 * (n * n - 5 * n + 8) * r * r
-        - 4 * n * (n * n - 5 * n + 8) * r
-        + n * (n - 1) * (n - 2) ** 2,
-        n * (n - 1),
-    )
-    return t_d0, t_c0, t_c2
-
-
-def gram_closed_form(n: int, r1: int, r2: int, W1: Fraction, W2: Fraction) -> GramParameters:
-    """Closed forms for d0, c0, c2 on the shell pair (r1, r2) with shell weights W1, W2."""
-    if not 1 <= r1 < r2 <= n - 1:
-        raise ValueError(f"shell indices out of range: r1={r1}, r2={r2}, n={n}")
-    W1, W2 = Fraction(W1), Fraction(W2)
-    if W1 <= 0 or W2 <= 0:
-        raise ValueError("shell weights must be positive")
-    d0 = c0 = c2 = Fraction(0)
-    for r, W in ((r1, W1), (r2, W2)):
-        t_d0, t_c0, t_c2 = gram_shell_terms(n, r)
-        d0 += W * t_d0
-        c0 += W * t_c0
-        c2 += W * t_c2
-    return GramParameters(n, r1, r2, W1, W2, d0, c0, c2)
-

@@ -1,17 +1,22 @@
 """Design verification: the two design criteria, tightness, and the frame identity.
 
-Two criteria decide whether a weighted set is a relative t-design: the
-moment criterion (weighted sums of eigenfunction values equal their shell
-averages) and the balance criterion (weighted counts of points covering a
-fixed j-subset are constant per j).  They agree on H(n,2); the test suite
-checks that equivalence on a corpus.  They differ in what they sum but share
-one counting path with the frame identity: for a word u of weight j each sum
-depends on a point y only through |y| and |u ∩ y|.  `_meet_table` counts each
-word's points by Hamming weight, design weight and meet size with
+A weighted set is a relative t-design when every function of degree <= t has
+the same weighted sum over the set as weighted average over its shells.  The
+moment and frame checks compare exactly that, one integrand f(|y|, |u ∩ y|) at
+a time for the words u of weight j: `_sums` gives the design sums and
+`_shell_average` the shell average.  The moment check's integrands are the
+eigenfunctions Q_j(d(u, .)), j <= t; the frame identity E W E^T = G is the
+same comparison at t = 2 on products of the degree-<=1 eigenfunctions.  The
+balance check tests constancy instead: the weighted count of points covering
+u must not depend on u of weight j.  The moment and balance criteria agree on
+H(n,2); the test suite checks that equivalence on a corpus.
+
+The design sums share one counting path: `_meet_table` counts each word's
+points by Hamming weight, design weight and meet size with
 `hamming.meet_classes`, once per design and j however many checks read it,
 and keeps the distinct count vectors; each check evaluates its integrand on
-those vectors, one integer dot product each.  The independent reference is
-the test suite's direct point-by-point sums.
+those vectors, one integer dot product each.  The independent references are
+the test suite's direct point-by-point sums and closed forms.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from operator import mul
 from typing import Optional
 
 from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
-from .hamming import BinaryWord, binomial, gram_closed_form, krawtchouk, meet_classes
+from .hamming import BinaryWord, binomial, krawtchouk, meet_classes, shell_intersection
 
 
 class NotTight(ValueError):
@@ -126,19 +131,30 @@ def _sums(design: WeightedDesign, j: int, f):
         yield support, Fraction(sum(map(mul, coefficients, vector)), denominator)
 
 
+def _shell_average(n: int, totals: dict[int, Fraction], j: int, f) -> Fraction:
+    """sum_r (W_r/C(n,r)) sum_{x in X_r} f(r, |u ∩ x|) for any word u of weight j
+    in H(n,2), over the shells r of `totals` with their weights W_r: for a
+    design's `_shell_weights`, the value each sum of `_sums` for j and f must
+    take.  The words of X_r meeting u in i coordinates are those at distance
+    r + j - 2i from u."""
+    return sum((W * Fraction(sum(shell_intersection(n, j, r, r + j - 2 * i) * f(r, i)
+                                 for i in range(max(0, r + j - n), min(r, j) + 1)),
+                             binomial(n, r))
+                for r, W in totals.items()), Fraction(0))
+
+
 def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     """Compare weighted eigenfunction sums against their shell averages.
 
     For every j <= t and every u of weight j the design must satisfy
 
-      sum_y w(y) Q_j(d(u,y)) = sum_r (W_r/C(n,r)) sum_nu |X_r ∩ Γ_nu(u)| Q_j(nu),
+      sum_y w(y) Q_j(d(u,y)) = sum_r (W_r/C(n,r)) sum_{x in X_r} Q_j(d(u,x)),
 
     where the right side depends only on j.  Checking all such u is exactly
     the relative t-design condition, since these functions span the degree-j
-    eigenspace.  The inner nu sum is Q_r(j) Q_j(j) in closed form: it equals
-    sum_{x in X_r} Q_j(d(u,x)) = sum_{|v|=j} (-1)^{v.u} sum_{x in X_r} (-1)^{v.x},
-    and the last sum is Q_r(|v|).  A point of weight r meeting u in i
-    coordinates lies at distance r + j - 2i.
+    eigenspace.  A point of weight r meeting u in i coordinates lies at
+    distance r + j - 2i, so the two sides are `_sums` and `_shell_average` of
+    one integrand.
     """
     n = design.n
     if not 0 <= t <= n:
@@ -146,10 +162,12 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
     totals = _shell_weights(design)
     for j in range(t + 1):
         q = [krawtchouk(n, j, nu) for nu in range(n + 1)]
-        rhs = Fraction(0)
-        for r, W in totals.items():
-            rhs += W * Fraction(krawtchouk(n, r, j) * q[j], binomial(n, r))
-        for support, lhs in _sums(design, j, lambda r, i: q[r + j - 2 * i]):
+
+        def eigenfunction(r, i):
+            return q[r + j - 2 * i]
+
+        rhs = _shell_average(n, totals, j, eigenfunction)
+        for support, lhs in _sums(design, j, eigenfunction):
             if lhs != rhs:
                 return MomentsReport(t, False, (j, BinaryWord.from_support(n, support), lhs, rhs))
     return MomentsReport(t, True, None)
@@ -172,17 +190,6 @@ def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
                 return BalancedReport(t, False, None, (j, u, covered))
         lambdas.append(expected)
     return BalancedReport(t, True, tuple(lambdas), None)
-
-
-def _two_shell_gram(design: WeightedDesign):
-    profile = shells_of(design)
-    if profile.p != 2:
-        raise WrongShellCount(f"need exactly 2 shells, found {profile.p}")
-    r1, r2 = profile.radii
-    if r1 == 0 or r2 == design.n:
-        raise DegenerateShells(f"shells ({r1}, {r2}) touch 0 or n")
-    totals = _shell_weights(design)
-    return gram_closed_form(design.n, r1, r2, totals[r1], totals[r2])
 
 
 def tightness_check(design: WeightedDesign) -> TightnessReport:
@@ -208,27 +215,38 @@ def frame_check(design: WeightedDesign) -> bool:
     """The frame identity E W E^T = G of a tight design, exactly and square-root free.
 
     E is the (n+1) x |Y| evaluation matrix of (phi_1..phi_n, phi_0) on the design
-    points, W the diagonal weight matrix and G the closed-form Gram matrix.  The dual
-    identity E^T G^{-1} E = W^{-1} follows: G is positive definite (see tightness_check)
-    and E is square, so E W E^T = G makes E invertible and W^{-1} = E^T G^{-1} E.
+    points, W the diagonal weight matrix and G the Gram matrix of the phi under the
+    shell average.  The dual identity E^T G^{-1} E = W^{-1} follows: G is positive
+    definite (see tightness_check) and E is square, so E W E^T = G makes E invertible
+    and W^{-1} = E^T G^{-1} E.
 
-    With phi_s(y) = p + 4*y_s and p = n - 2|y| - 2, every entry of E W E^T is a
-    weighted sum over the points of a function of |y| and i = |u ∩ y|: for u = {}
-    the constant 1 (the phi_0 entry), for u = {s} p + 4i and (p + 4i)^2 (the
-    phi_s-phi_0 and phi_s-phi_s entries), and for u = {s, t} p^2 + 4pi + 16[i = 2]
-    (the phi_s-phi_t entries, since y_s y_t = [i = 2]).
+    With phi_s(y) = p + 4*y_s and p = n - 2|y| - 2, every entry of E W E^T is the
+    design sum of a function of |y| and i = |u ∩ y|, and the entry of G is its shell
+    average: for u = {} the constant 1 (the phi_0 entry), for u = {s} p + 4i and
+    (p + 4i)^2 (the phi_s-phi_0 and phi_s-phi_s entries), and for u = {s, t}
+    p^2 + 4pi + 16[i = 2] (the phi_s-phi_t entries, since y_s y_t = [i = 2]).
     """
     n = design.n
-    gram = _two_shell_gram(design)
+    profile = shells_of(design)
+    if profile.p != 2:
+        raise WrongShellCount(f"need exactly 2 shells, found {profile.p}")
+    r1, r2 = profile.radii
+    if r1 == 0 or r2 == n:
+        raise DegenerateShells(f"shells ({r1}, {r2}) touch 0 or n")
     if design.size != n + 1:
         raise NotTight(f"|Y| = {design.size} != n+1 = {n + 1}")
-    entries = (  # (|u|, integrand of |y| and |u ∩ y|, the Gram entry it must give)
-        (0, lambda r, i: 1, gram.weight_sum),
-        (1, lambda r, i: n - 2 * r - 2 + 4 * i, gram.d0),
-        (1, lambda r, i: (n - 2 * r - 2 + 4 * i) ** 2, gram.c0),
-        (2, lambda r, i: (n - 2 * r - 2) ** 2 + 4 * (n - 2 * r - 2) * i + 16 * (i == 2), gram.c2),
+    integrands = (  # (|u|, integrand of |y| and |u ∩ y|)
+        (0, lambda r, i: 1),
+        (1, lambda r, i: n - 2 * r - 2 + 4 * i),
+        (1, lambda r, i: (n - 2 * r - 2 + 4 * i) ** 2),
+        (2, lambda r, i: (n - 2 * r - 2) ** 2 + 4 * (n - 2 * r - 2) * i + 16 * (i == 2)),
     )
-    return all(value == entry for j, f, entry in entries for _, value in _sums(design, j, f))
+    totals = _shell_weights(design)
+    for j, f in integrands:
+        entry = _shell_average(n, totals, j, f)
+        if any(value != entry for _, value in _sums(design, j, f)):
+            return False
+    return True
 
 
 def weight_constancy_check(design: WeightedDesign) -> bool:

@@ -1,16 +1,18 @@
-"""Generic exact linear algebra, the exhaustive row enumeration, the
-two-equation solve for the point counts, the degree-2 moment solve for the
-per-pair counts, an exhaustive integer solve of the pair-count moments, the
-per-pattern compatibility scan, the popcount scan of meets, the subset
-enumeration of exact covers, a cover walk that copies its counts at every
-node, and the per-pair block scans of symmetric designs and of search
-witnesses, kept as test oracles for the closed forms, the
+"""Generic exact linear algebra, the closed-form Gram entries of the
+degree-<=1 eigenfunctions on a shell and the brute-force shell sums they are
+checked against, the exhaustive row enumeration, the two-equation solve for
+the point counts, the degree-2 moment solve for the per-pair counts, an
+exhaustive integer solve of the pair-count moments, the per-pattern
+compatibility scan, the popcount scan of meets, the subset enumeration of
+exact covers, a cover walk that copies its counts at every node, and the
+per-pair block scans of symmetric designs and of search witnesses, kept as
+test oracles for the shell averages of the frame check, the
 divisibility-driven enumeration, the moment rule, the meet recurrence, the
 symmetric-design generator's exact cover and its order, and the bitset
 incidence check.
 
-Nothing in the package uses these: the closed forms in `tightdesigns.hamming`,
-`tightdesigns.feasibility.enumerate_rows`,
+Nothing in the package uses these: the shell averages of
+`tightdesigns.verify`, `tightdesigns.feasibility.enumerate_rows`,
 `tightdesigns.nonexistence.point_lambdas`,
 `tightdesigns.nonexistence.pair_lambda_solutions`, the moment rule of
 `tightdesigns.nonexistence.counting_filters`, the compatibility rows
@@ -317,6 +319,41 @@ def shell_config_scan(row, shell, solutions, blocks) -> bool:
         if sum(1 for b in sets if x in b and y in b) not in domain:
             return False
     return True
+
+
+def gram_shell_terms(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The averages over the shell X_r, 1 <= r <= n-1, of phi_1, phi_1^2 and
+    phi_1 phi_2, where phi_s(x) = Q_1(d(e_s, x)): the Gram entries d0, c0 and c2
+    of a unit weight on shell r, in closed form."""
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"shell index out of range: r={r}, n={n}")
+    t_d0 = Fraction((n - 2) * (n - 2 * r), n)
+    t_c0 = Fraction(4 * (n - 4) * r * r - 4 * n * (n - 4) * r + n * (n - 2) ** 2, n)
+    t_c2 = Fraction(
+        4 * (n * n - 5 * n + 8) * r * r
+        - 4 * n * (n * n - 5 * n + 8) * r
+        + n * (n - 1) * (n - 2) ** 2,
+        n * (n - 1),
+    )
+    return t_d0, t_c0, t_c2
+
+
+def brute_shell_sums(n: int) -> dict[int, tuple[int, int, int]]:
+    """For each shell 1 <= r <= n-1, the sums over X_r of phi_1, phi_1^2 and
+    phi_1 phi_2, by enumerating the shell."""
+    e1 = BinaryWord.from_support(n, (1,))
+    e2 = BinaryWord.from_support(n, (2,))
+    sums = {}
+    for r in range(1, n):
+        s_d0 = s_c0 = s_c2 = 0
+        for support in combinations(range(1, n + 1), r):
+            x = BinaryWord.from_support(n, support)
+            q1 = krawtchouk(n, 1, e1.distance(x))
+            s_d0 += q1
+            s_c0 += q1 * q1
+            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
+        sums[r] = (s_d0, s_c0, s_c2)
+    return sums
 
 
 class SingularLeadingMinor(ValueError):

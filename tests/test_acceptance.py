@@ -8,20 +8,14 @@ tune anywhere in this file.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
-from oracles import make_design
+from oracles import brute_shell_sums, make_design
 from reference_table import EMPTY_N, REFERENCE_ROWS
 from tightdesigns import constructions, verify
 from tightdesigns.designs import WeightedDesign, complement, shells_of
 from tightdesigns.feasibility import enumerate_rows, to_csv
-from tightdesigns.hamming import (
-    BinaryWord,
-    binomial,
-    gram_closed_form,
-    krawtchouk,
-)
+from tightdesigns.hamming import BinaryWord, binomial, krawtchouk
 from tightdesigns.nonexistence import construction_registry, decide
 
 GOLDEN = Path(__file__).parent / "data" / "parameter_table.csv"
@@ -143,23 +137,6 @@ def test_criterion_3_nonexistence_reproduction():
     report(3, "nonexistence reproduction", failures, time.monotonic() - start, 600.0)
 
 
-def _brute_shell_sums(n):
-    """Direct per-shell sums of phi products over whole shells, by enumeration."""
-    e1 = BinaryWord.from_support(n, (1,))
-    e2 = BinaryWord.from_support(n, (2,))
-    sums = {}
-    for r in range(1, n):
-        s_d0 = s_c0 = s_c2 = 0
-        for support in combinations(range(1, n + 1), r):
-            x = BinaryWord.from_support(n, support)
-            q1 = krawtchouk(n, 1, e1.distance(x))
-            s_d0 += q1
-            s_c0 += q1 * q1
-            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
-        sums[r] = (s_d0, s_c0, s_c2)
-    return sums
-
-
 def test_criterion_4_property_suites():
     start = time.monotonic()
     failures = []
@@ -177,10 +154,15 @@ def test_criterion_4_property_suites():
                 if binomial(n, u) * q[k][u] != binomial(n, k) * q[u][k]:
                     failures.append(f"reciprocity fails at n={n}, k={k}, u={u}")
 
-    # closed-form Gram data == brute-force shell summation, n <= 10,
-    # every shell pair, 20 random positive rational weight pairs
+    # the Gram entries frame_check takes as shell averages == brute-force shell
+    # summation, n <= 10, every shell pair, 20 random positive rational weight pairs
     for n in range(3, 11):
-        sums = _brute_shell_sums(n)
+        sums = brute_shell_sums(n)
+        integrands = (  # phi_1, phi_1^2 and phi_1 phi_2, functions of |x| and |u ∩ x|
+            (1, lambda r, i: n - 2 * r - 2 + 4 * i),
+            (1, lambda r, i: (n - 2 * r - 2 + 4 * i) ** 2),
+            (2, lambda r, i: (n - 2 * r - 2) ** 2 + 4 * (n - 2 * r - 2) * i + 16 * (i == 2)),
+        )
         weight_pairs = [
             (Fraction(rng.randint(1, 40), rng.randint(1, 12)),
              Fraction(rng.randint(1, 40), rng.randint(1, 12)))
@@ -194,8 +176,8 @@ def test_criterion_4_property_suites():
                         + W2 * Fraction(sums[r2][i], binomial(n, r2))
                         for i in range(3)
                     )
-                    g = gram_closed_form(n, r1, r2, W1, W2)
-                    if (g.d0, g.c0, g.c2) != expected:
+                    if tuple(verify._shell_average(n, {r1: W1, r2: W2}, j, f)
+                             for j, f in integrands) != expected:
                         failures.append(f"gram mismatch at {(n, r1, r2, W1, W2)}")
                         break
 

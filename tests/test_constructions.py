@@ -177,6 +177,8 @@ def test_symmetric_design_validation():
         SymmetricDesign(7, 3, 2, fano)  # wrong lambda
     with pytest.raises(ValueError):
         SymmetricDesign(7, 3, 1, fano[:6] + (frozenset({0, 1, 2}),))
+    with pytest.raises(ValueError, match="blocks must be frozensets, not list"):
+        SymmetricDesign(3, 1, 0, ([0], [1], [2]))
 
 
 @pytest.mark.parametrize(

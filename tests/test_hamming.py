@@ -7,7 +7,9 @@ import pytest
 
 from oracles import (
     SingularLeadingMinor,
+    brute_shell_sums,
     gram_schmidt_generic,
+    gram_shell_terms,
     meet_classes_scan,
     shell_config_scan,
     symmetric_design_scan,
@@ -18,7 +20,6 @@ from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import (
     BinaryWord,
     binomial,
-    gram_closed_form,
     incidence_fault,
     krawtchouk,
     meet_classes,
@@ -117,65 +118,19 @@ def test_shell_intersection_row_sums(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_shell_intersection_moments_closed_form(n):
-    # sum over X_r of Q_j(d(u, x)) for |u| = j, the right side moments_check uses
+    # sum over X_r of Q_j(d(u, x)) for |u| = j: the shell average moments_check
+    # counts equals the closed form its oracle takes
     for j in range(n + 1):
         for r in range(n + 1):
             assert (sum(shell_intersection(n, j, r, nu) * krawtchouk(n, j, nu)
                         for nu in range(n + 1)) == krawtchouk(n, r, j) * krawtchouk(n, j, j))
 
 
-def brute_gram(n, r1, r2, W1, W2):
-    """Direct weighted shell summation of the eigenfunction inner products."""
-    e1 = BinaryWord.from_support(n, (1,))
-    e2 = BinaryWord.from_support(n, (2,))
-    d0 = c0 = c2 = Fraction(0)
-    for r, W in ((r1, W1), (r2, W2)):
-        s_d0 = s_c0 = s_c2 = 0
-        for support in combinations(range(1, n + 1), r):
-            x = BinaryWord.from_support(n, support)
-            q1 = krawtchouk(n, 1, e1.distance(x))
-            s_d0 += q1
-            s_c0 += q1 * q1
-            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
-        scale = Fraction(W, binomial(n, r))
-        d0 += scale * s_d0
-        c0 += scale * s_c0
-        c2 += scale * s_c2
-    return d0, c0, c2
-
-
-def test_gram_closed_form_example():
-    g = gram_closed_form(6, 2, 3, Fraction(3), Fraction(4))
-    assert (g.d0, g.c0, g.c2) == (4, 32, 0)
-    assert (g.d0, g.c0, g.c2) == brute_gram(6, 2, 3, Fraction(3), Fraction(4))
-    assert g.weight_sum == 7
-
-
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_gram_closed_form_brute(n):
-    W1, W2 = Fraction(5, 3), Fraction(7, 2)
-    for r1 in range(1, n - 1):
-        for r2 in range(r1 + 1, n):
-            g = gram_closed_form(n, r1, r2, W1, W2)
-            assert (g.d0, g.c0, g.c2) == brute_gram(n, r1, r2, W1, W2)
-
-
-def test_gram_closed_form_complement_symmetry():
-    # r1 = n - r2 with equal weights makes the linear term cancel
-    for n, r1 in ((8, 2), (10, 3), (12, 5)):
-        g = gram_closed_form(n, r1, n - r1, Fraction(2), Fraction(2))
-        assert g.d0 == 0
-
-
-def test_gram_closed_form_errors():
-    with pytest.raises(ValueError):
-        gram_closed_form(6, 0, 3, Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        gram_closed_form(6, 3, 6, Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        gram_closed_form(6, 3, 2, Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        gram_closed_form(6, 2, 3, Fraction(0), Fraction(1))
+    # the closed form the frame and rank oracles take as G, per unit shell weight
+    for r, sums in brute_shell_sums(n).items():
+        assert gram_shell_terms(n, r) == tuple(Fraction(s, binomial(n, r)) for s in sums)
 
 
 def test_gram_schmidt_generic_identity_and_two_by_two():

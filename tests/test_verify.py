@@ -7,20 +7,14 @@ from math import lcm
 
 import pytest
 
-from oracles import make_design
+from oracles import gram_shell_terms, make_design
 from tightdesigns import constructions, verify
 from tightdesigns.designs import (
     WeightedDesign,
     WrongShellCount,
     shells_of,
 )
-from tightdesigns.hamming import (
-    BinaryWord,
-    binomial,
-    gram_shell_terms,
-    krawtchouk,
-    shell_intersection,
-)
+from tightdesigns.hamming import BinaryWord, binomial, krawtchouk
 from tightdesigns.nonexistence import construction_registry
 from tightdesigns.verify import (
     BalancedReport,
@@ -190,7 +184,8 @@ def test_full_check_names_every_check():
 
 
 # Generic exact oracles: Gaussian elimination, over Fraction or fraction-free over
-# the integers, and direct sums, independent of the closed forms used by the checks.
+# the integers, direct sums and closed forms, independent of the shell intersection
+# counts the checks take their shell averages from.
 
 
 def oracle_rank(matrix):
@@ -279,8 +274,8 @@ def oracle_first_violation(design, t):
     for p, w in zip(design.points, design.weights):
         totals[p.weight] = totals.get(p.weight, 0) + w
     for j in range(t + 1):
-        rhs = sum(W * Fraction(sum(shell_intersection(n, j, r, nu) * krawtchouk(n, j, nu)
-                                   for nu in range(n + 1)), binomial(n, r))
+        # sum_{x in X_r} Q_j(d(u, x)) = Q_r(j) Q_j(j)
+        rhs = sum(W * Fraction(krawtchouk(n, r, j) * krawtchouk(n, j, j), binomial(n, r))
                   for r, W in totals.items())
         for support in combinations(range(1, n + 1), j):
             u = BinaryWord.from_support(n, support)
@@ -318,6 +313,22 @@ def registry_corpus():
 def test_frame_check_matches_generic_oracle():
     for design, is_design in registry_corpus():
         assert frame_check(design) == oracle_frame(design) == is_design
+
+
+def test_frame_check_compares_with_the_closed_form_gram_entries(monkeypatch):
+    # both sides of each frame entry come from one integrand, so an integrand that
+    # is not the phi product only shows against the closed form: the shell
+    # averages are, in order, the total weight, d0, c0 and c2
+    averages = []
+    original = verify._shell_average
+    monkeypatch.setattr(verify, "_shell_average",
+                        lambda *args: averages.append(original(*args)) or averages[-1])
+    for design, is_design in registry_corpus():
+        if is_design:
+            averages.clear()
+            assert frame_check(design)
+            g, n = oracle_gram(design), design.n
+            assert averages == [g[n][n], g[0][n], g[0][0], g[0][1]]
 
 
 def test_moments_first_violation_matches_direct_sums():
