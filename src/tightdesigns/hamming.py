@@ -1,12 +1,12 @@
 """Exact primitives of the binary Hamming scheme H(n,2).
 
 Everything here is integer arithmetic: binomial coefficients, Krawtchouk
-polynomials, shell intersection counts, words split by their meet with a
-support, the incidence check of a block system, and k-subsets by rank and by
-member.  The moment and frame checks of `verify` count their design sums with
-the meet classes and their shell averages with the shell intersections.  No
-floating point; intermediate integers routinely exceed 64 bits (C(30,15)^2
-scale).
+polynomials, shell intersection counts, bitsets transposed, words split by
+their meet with a support, the incidence check of a block system, and
+k-subsets by rank and by member.  The moment and frame checks of `verify`
+count their design sums with the meet classes and their shell averages with
+the shell intersections.  No floating point; intermediate integers routinely
+exceed 64 bits (C(30,15)^2 scale).
 """
 
 from __future__ import annotations
@@ -104,6 +104,14 @@ def shell_intersection(n: int, j: int, r: int, nu: int) -> int:
     return binomial(j, i) * binomial(n - j, r - i)
 
 
+def holders(masks, width: int) -> list[int]:
+    """Entry b: the bitset of the masks on bit b, bit j standing for masks[j],
+    so the transpose of `masks` over bits 0..width-1; `meet_classes` reads it
+    as its `members`.  Three users: the symmetric-design generator, the
+    verifier's meet table (verify) and `incidence_fault`."""
+    return [sum(1 << j for j, mask in enumerate(masks) if mask >> b & 1) for b in range(width)]
+
+
 def meet_classes(members, support, everything: int) -> list[int]:
     """Entry i: the words of `everything` meeting `support` in i coordinates,
     members[x] being the bitset of the words on coordinate x.  The meet
@@ -126,17 +134,17 @@ def incidence_fault(ground: range, blocks, size: int, degree: int, meets, pairs)
     its points and each point as a bitset of its blocks, so every count is a
     popcount.  Two users: symmetric designs (constructions) and the search's
     witnesses (nonexistence)."""
-    rows, columns = [], [0] * len(ground)
-    for j, block in enumerate(blocks):
+    rows = []
+    for block in blocks:
         bits = 0
         for x in block:
             if x not in ground:
                 return f"point {x} outside {ground.start}..{ground.stop - 1}"
             bits |= 1 << (x - ground.start)
-            columns[x - ground.start] |= 1 << j
         if bits.bit_count() != size:
             return f"blocks must be {size}-subsets of {ground.start}..{ground.stop - 1}"
         rows.append(bits)
+    columns = holders(rows, len(ground))
     if any(column.bit_count() != degree for column in columns):
         return f"every point must lie in exactly {degree} blocks"
     for (x, a), (y, b) in combinations(enumerate(columns, ground.start), 2):

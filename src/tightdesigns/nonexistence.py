@@ -214,7 +214,8 @@ def check_shell_config(row: ParameterRow, shell: int, solutions, blocks) -> bool
 
 
 def csp_search(row: ParameterRow, shell: int, solutions, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exhaustive search for one shell's block configuration.
+    """Exhaustive search for one shell's block configuration; `decide` runs
+    it once per row, on the shell with fewer blocks.
 
     Searches for N blocks of size r on the n coordinates with all pairwise
     intersections r - alpha/2, every coordinate in exactly lambda^(i)_1
@@ -439,9 +440,8 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     The construction registry is consulted first; a hit is fully verified
     and returned as a found design.  Otherwise the pipeline runs point
     lambdas, the pair lambda system (empty means refuted), the counting
-    filters, and the configuration search on the shell with fewer blocks,
-    falling back to the other shell only when the first is undecided; when
-    both are, the reason gives both searches.
+    filters, and the configuration search on the shell with fewer blocks
+    (shell 1 on a tie), whose verdict it returns as it is.
     """
     hit = construction_registry().get(row.key)
     if hit is not None:
@@ -465,11 +465,4 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     filtered = counting_filters(row, solutions)
     if filtered.refuted:
         return filtered
-    first = 1 if row.n1 <= row.n2 else 2
-    verdict = csp_search(row, first, solutions, budget)
-    if not verdict.undecided:
-        return verdict
-    other = csp_search(row, 3 - first, solutions, budget)
-    if not other.undecided:
-        return other
-    return Verdict("undecided", detail=f"{verdict.detail}; {other.detail}")
+    return csp_search(row, 1 if row.n1 <= row.n2 else 2, solutions, budget)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .constructions import SymmetricDesign
-from .hamming import meet_classes
+from .hamming import holders, meet_classes
 
 
 def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
@@ -41,10 +41,10 @@ def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
         raise ValueError(f"the generator builds lam = 2 or 3, not 2-({v},{k},{lam})")
     # row q: the blocks through point 0 (bit j for the j-th) that hold point q + 1
     rows = [sum(1 << j for j in block) for block in derived]
-    columns = _holders(rows, k)
+    columns = holders(rows, k)
     candidates = sorted(sum(1 << q for q in cover)
                         for cover in _covers(rows, columns, [lam] * k, (1 << len(rows)) - 1))
-    chosen = next(_covers(candidates, _holders(candidates, v - 1), [k - lam] * (v - 1),
+    chosen = next(_covers(candidates, holders(candidates, v - 1), [k - lam] * (v - 1),
                           (1 << len(candidates)) - 1, lam), None)
     if chosen is None:
         raise ValueError(f"no symmetric 2-({v},{k},{lam}) design extends the derived design")
@@ -93,11 +93,6 @@ def _first_cover(orbits, need, start):
         if rest is not None:
             return orbits[i] + rest
     return None
-
-
-def _holders(masks, width):
-    """Bit b: the bitset of the masks on bit b."""
-    return [sum(1 << j for j, mask in enumerate(masks) if mask >> b & 1) for b in range(width)]
 
 
 def _covers(masks, holders, need, live, meet=None):

@@ -30,7 +30,7 @@ from operator import mul
 from typing import Optional
 
 from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
-from .hamming import BinaryWord, binomial, krawtchouk, meet_classes, shell_intersection
+from .hamming import BinaryWord, binomial, holders, krawtchouk, meet_classes, shell_intersection
 
 
 class NotTight(ValueError):
@@ -98,12 +98,10 @@ def _meet_table(design: WeightedDesign, j: int):
     n = design.n
     denominator = lcm(*(w.denominator for w in design.weights))
     classes: dict[tuple[int, Fraction], int] = {}
-    members = [0] * (n + 1)  # members[x]: the points with coordinate x set
     for index, (y, w) in enumerate(zip(design.points, design.weights)):
         classes[y.weight, w] = classes.get((y.weight, w), 0) | 1 << index
-        for x in range(1, n + 1):
-            if y.bits >> (x - 1) & 1:
-                members[x] |= 1 << index
+    # members[x]: the points with coordinate x set
+    members = [0] + holders([y.bits for y in design.points], n)
     terms, masks = [], []
     for (r, w), mask in classes.items():
         for i in range(max(0, r + j - n), min(r, j) + 1):

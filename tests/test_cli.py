@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -155,11 +156,11 @@ def test_decide_output_is_stable(capsys):
 # output is pinned by CATALOG_SHA256, every other row's by SEARCH_SHA256
 CATALOG_ROWS = {14: (2, 3), 15: (1, 2, 3, 4), 24: (1, 2, 3, 4), 30: (10, 11, 14, 23)}
 # sha256 over the exit code and stdout of each `decide ... --format json` below:
-# every other row of 6..30; 34(2), whose two shells both stop in mid-search at
-# budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1, 2, 6, 8)
+# every other row of 6..30; 34(2), whose search on shell 1 stops in mid-search
+# at budget 50000; budget stops before the first node (33, 35, 40, 44), 35(1, 2, 6, 8)
 # refuted by the range of the shell-1 pair sum, 28(3, 5), 40(1, 2, 6, 8) and
 # 44(3, 5) by its second moment
-SEARCH_SHA256 = "611876ef2a578372037e52f15e926243262a74f594eec4772cb5a880f336c0e8"
+SEARCH_SHA256 = "5f196194510f24c0346ead491201ed0b4e67499b69e3a589694495cfa10fe8ba"
 SEARCH_ARGVS = ([["--n", str(n)] for n in range(6, 31) if n not in CATALOG_ROWS]
                 + [["--n", str(n), "--row-index", str(i)] for n, rows in ((14, 4), (30, 26))
                    for i in range(1, rows + 1) if i not in CATALOG_ROWS[n]]
@@ -193,7 +194,7 @@ def test_decide_catalog_output_is_pinned(capsys):
 # sha256 over the exit code and stdout of `decide --n N --budget B --format
 # json` for N in 31..60 and B in (1, 100, 5000, 50000): the node counts,
 # witnesses and stops before the first node of every search these rows reach
-WIDE_SEARCH_SHA256 = "ba2491ba6a3abf1c17d094983b8a3946e3264ce712809fc77da2f8f06c5e007a"
+WIDE_SEARCH_SHA256 = "5f7e23452e094902bf3ff96561e804dacc953df310041894b5577ea8248863c4"
 WIDE_SEARCH_ARGVS = [["--n", str(n), "--budget", str(budget)]
                      for n in range(31, 61) for budget in (1, 100, 5000, 50000)]
 
@@ -208,6 +209,26 @@ def test_selftest(capsys):
     assert "FAIL" not in out
     assert "ok  symmetric_design 2-(16,6,2): residual split verifies" in out
     assert "ok  the same with one weight doubled fails moments, balance and frame" in out
+
+
+def readme_commands():
+    """The `tightdesigns ...` lines of the sh block under README's "## Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("tightdesigns ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DESIGNS_SEARCH_BUDGET", raising=False)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "enumerate", "construct", "verify", "construct", "construct", "decide", "decide",
+        "selftest"]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 @pytest.mark.parametrize("value", ["many", "1.5", "-1"])
@@ -244,21 +265,20 @@ def run_module(*argv, optimize):
 
 
 def test_budget_bounds_search_setup():
-    # shell 2 of row 56(2) has C(49, 21) ~ 3.9e13 incidence patterns: a one-node
-    # budget must stop the search before it builds them, and the reason must give
-    # their number, after the first shell's stop; the memory cap and the timeout
+    # shell 1 of row 94(2), the shell with fewer blocks, has C(47, 23) ~ 1.6e13
+    # incidence patterns: a one-node budget must stop the search before it builds
+    # them, and the reason must give their number; the memory cap and the timeout
     # make a search that does build them fail fast
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    result = run_process("decide", "--n", "56", "--row-index", "2", "--budget", "1",
+    result = run_process("decide", "--n", "94", "--row-index", "2", "--budget", "1",
                          timeout=60, preexec_fn=cap_memory)
     assert (result.returncode, result.stderr) == (3, "")
     assert result.stdout.splitlines() == [
-        "56(2) r1=7 r2=24 N1=8 N2=49 w=1/2: UNDECIDED [shell 1 (8 blocks of size 7, "
-        "pairwise meets 0): node budget 1 exhausted before the first node: 8 patterns; "
-        "shell 2 (49 blocks of size 24, pairwise meets 10): node budget 1 exhausted "
-        "before the first node: 39049918716424 patterns]"]
+        "94(2) r1=46 r2=47 N1=47 N2=48 w=1: UNDECIDED [shell 1 (47 blocks of size 46, "
+        "pairwise meets 22): node budget 1 exhausted before the first node: "
+        "16123801841550 patterns]"]
 
 
 def test_search_memory_follows_the_nodes_it_visits():
@@ -274,9 +294,7 @@ def test_search_memory_follows_the_nodes_it_visits():
     assert (result.returncode, result.stderr) == (3, "")
     assert result.stdout.splitlines() == [
         "42(16) r1=20 r2=21 N1=21 N2=22 w=1: UNDECIDED [shell 1 (21 blocks of size 20, "
-        "pairwise meets 9): node budget 400000 exhausted; shell 2 (22 blocks of size 21, "
-        "pairwise meets 10): node budget 400000 exhausted before the first node: "
-        "705432 patterns]"]
+        "pairwise meets 9): node budget 400000 exhausted]"]
 
 
 def test_only_generated_rows_load_the_generator():

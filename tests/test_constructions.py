@@ -25,6 +25,7 @@ from tightdesigns.constructions import (
     projective_geometry,
 )
 from tightdesigns.designs import relation_profile, shells_of
+from tightdesigns.hamming import holders
 from tightdesigns.symmetric import rotational_triples, symmetric_design
 
 
@@ -274,7 +275,7 @@ def candidate_masks(v, k, lam):
     base point in lam points."""
     derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
     rows = [sum(1 << j for j in block) for block in derived]
-    covers = symmetric._covers(rows, symmetric._holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
+    covers = symmetric._covers(rows, holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
     return sorted(sum(1 << q for q in cover) for cover in covers)
 
 
@@ -303,7 +304,7 @@ def random_cover_instances():
             if meet is None or all((masks[i] & masks[j]).bit_count() == meet for i in planted):
                 planted.append(j)
         need = [sum(masks[j] >> b & 1 for j in planted) for b in range(width)]
-        instances.append((masks, symmetric._holders(masks, width), need, meet))
+        instances.append((masks, holders(masks, width), need, meet))
     return instances
 
 
@@ -323,8 +324,8 @@ def generator_steps(v, k, lam):
     derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
     rows = [sum(1 << j for j in block) for block in derived]
     candidates = candidate_masks(v, k, lam)
-    return [(rows, symmetric._holders(rows, k), [lam] * k, (1 << len(rows)) - 1, None),
-            (candidates, symmetric._holders(candidates, v - 1), [k - lam] * (v - 1),
+    return [(rows, holders(rows, k), [lam] * k, (1 << len(rows)) - 1, None),
+            (candidates, holders(candidates, v - 1), [k - lam] * (v - 1),
              (1 << len(candidates)) - 1, lam)]
 
 

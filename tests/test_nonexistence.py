@@ -404,6 +404,41 @@ def test_decide_is_deterministic():
         assert first == second
 
 
+def test_decide_searches_only_the_shell_with_fewer_blocks(monkeypatch):
+    # at most one search per row, on the shell with fewer blocks (shell 1 on a
+    # tie): over 31..60 at budget 100, and on 34(2), whose search stops in
+    # mid-search at budget 50000
+    calls = []
+
+    def counted(target, shell, solutions, budget=DEFAULT_BUDGET):
+        calls.append((target.key, shell))
+        return csp_search(target, shell, solutions, budget)
+
+    monkeypatch.setattr(nonexistence, "csp_search", counted)
+    searched = 0
+    for target, budget in ([(r, 100) for r in enumerate_rows(31, 60)]
+                           + [(enumerate_rows(34, 34)[1], 50000)]):
+        calls.clear()
+        decide(target, budget)
+        assert calls in ([], [(target.key, 1 if target.n1 <= target.n2 else 2)]), target.key
+        searched += len(calls)
+    assert calls and searched > 1
+
+
+# sha256 over one line "n r1 r2 N1 N2 w status cause" per row of 61..200 at
+# budget 50000, in enumeration order: 152 found, 1594 refuted, 664 undecided
+WIDE_VERDICTS_SHA256 = "85e7057e5993d9c54c872e0bc0b04b693a01b0e40b20d52647e9a6ed6e9a1887"
+
+
+def test_decide_61_to_200_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    for target in enumerate_rows(61, 200):
+        verdict = decide(target, 50000)
+        digest.update(" ".join(map(str, (*target.key, verdict.status, verdict.cause))).encode()
+                      + b"\n")
+    assert digest.hexdigest() == WIDE_VERDICTS_SHA256
+
+
 def test_registry_covers_forty_four_rows():
     registry = construction_registry()
     assert len(registry) == 44
