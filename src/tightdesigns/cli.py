@@ -16,8 +16,16 @@ EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Matches flags in full, so a prefix such as --row is an error; each
+    subcommand parses its own flags in a parser of its parent's class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tightdesigns",
         description="Tight relative 2-designs on two shells of H(n,2): "
         "enumerate parameter rows, verify designs, construct and decide.",

@@ -118,7 +118,8 @@ def meet_classes(members, support, everything: int) -> list[int]:
     recurrence moves the words on each coordinate of `support` up one class.
     Three users: the search's compatibility rows (nonexistence), the exact cover
     of the symmetric-design generator (symmetric), and the weighted sums of the
-    moment, balance and frame checks (verify)."""
+    moment, balance and frame checks (verify).  The tests check it against a
+    popcount scan."""
     exactly = [everything]
     for x in support:
         bits = members[x]
@@ -133,7 +134,7 @@ def incidence_fault(ground: range, blocks, size: int, degree: int, meets, pairs)
     meet in a number of points in `meets`.  Each block is kept as a bitset of
     its points and each point as a bitset of its blocks, so every count is a
     popcount.  Two users: symmetric designs (constructions) and the search's
-    witnesses (nonexistence)."""
+    witnesses (nonexistence).  The tests check it against per-pair block scans."""
     rows = []
     for block in blocks:
         bits = 0

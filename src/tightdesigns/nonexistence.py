@@ -417,9 +417,6 @@ def construction_registry() -> catalog.Registry:
     return catalog.registry()
 
 
-_VERIFIED: set = set()  # (row key, design): a design put under a verified row is checked anew
-
-
 def verify_constructed(row: ParameterRow, design: WeightedDesign) -> None:
     """Full verification of a constructed design against its parameter row."""
     results = {result.name: result for result in verify.full_check(design)}
@@ -443,12 +440,10 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     filters, and the configuration search on the shell with fewer blocks
     (shell 1 on a tie), whose verdict it returns as it is.
     """
-    hit = construction_registry().get(row.key)
-    if hit is not None:
-        label, design = hit
-        if (row.key, design) not in _VERIFIED:
-            verify_constructed(row, design)
-            _VERIFIED.add((row.key, design))
+    registry = construction_registry()
+    if row.key in registry:  # not .get, which would read a KeyError of the build as a miss
+        label, design = registry[row.key]
+        verify_constructed(row, design)
         witness = {
             "kind": "design",
             "source": label,

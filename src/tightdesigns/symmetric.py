@@ -106,7 +106,9 @@ def _covers(masks, holders, need, live, meet=None):
     meet it in `meet` bits.  One copy of `need` is counted down in place and
     restored on return; a mask's support and, given `meet`, its meet row (the
     masks meeting it in `meet` bits, by the meet recurrence over all of them)
-    are computed when the walk first takes it and kept for the walk."""
+    are computed when the walk first takes it and kept for the walk.  The
+    tests check the covers against a subset enumeration, and their order
+    against a walk that copies its counts at every node."""
     return _walk(masks, holders, list(need), live, meet, {})
 
 

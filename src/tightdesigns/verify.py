@@ -216,7 +216,7 @@ def frame_check(design: WeightedDesign) -> bool:
     points, W the diagonal weight matrix and G the Gram matrix of the phi under the
     shell average.  The dual identity E^T G^{-1} E = W^{-1} follows: G is positive
     definite (see tightness_check) and E is square, so E W E^T = G makes E invertible
-    and W^{-1} = E^T G^{-1} E.
+    and W^{-1} = E^T G^{-1} E.  It is therefore not computed.
 
     With phi_s(y) = p + 4*y_s and p = n - 2|y| - 2, every entry of E W E^T is the
     design sum of a function of |y| and i = |u ∩ y|, and the entry of G is its shell
@@ -260,7 +260,8 @@ def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
     the two-shell checks do not apply to (not two shells, a shell at radius
     0 or n, or not of size n+1) gets, in place of the ones it cannot take,
     a single failed "two-shell checks" result that says why.  Raises
-    ValueError when t is outside 0..n.
+    ValueError when t is outside 0..n.  The verify, construct and decide
+    commands and selftest all read it.
     """
     results: list[CheckResult] = []
 

@@ -129,6 +129,14 @@ def test_decide_row_index_out_of_range(capsys):
     assert code == 2 and "outside" in err
 
 
+def test_flags_must_be_spelled_in_full():
+    # each subcommand parses its own flags, so a prefix of --row-index is
+    # refused there, not only at the top level
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["decide", "--n", "20", "--row", "7"])
+    assert exc.value.code == 2
+
+
 def test_decide_budget_flag_and_env(capsys, monkeypatch):
     # row 21(3) is outside the construction catalog, so it needs the search,
     # which finds a witness after 20 nodes; one node is never enough and the

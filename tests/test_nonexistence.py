@@ -385,8 +385,8 @@ def test_decide_registry_hits_are_verified_designs():
 
 
 def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
-    # the verification memo holds designs, not row keys: a design put in a
-    # new registry under a row verified before is checked again
+    # every catalog hit is verified, so a design put in a new registry under
+    # a row verified before is checked again
     six = row(6, 1)
     assert decide(six).found
     design = construction_registry()[six.key][1]
@@ -394,6 +394,19 @@ def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
     monkeypatch.setattr(nonexistence, "construction_registry", lambda: {six.key: ("bad", bad)})
     with pytest.raises(RuntimeError,
                        match="fails the moments, balanced, frame, weight constancy checks"):
+        decide(six)
+
+
+def test_decide_raises_a_key_error_of_a_catalog_build(monkeypatch):
+    # a KeyError raised while building a catalog design is a fault of the
+    # build, not a row missing from the catalog
+    def broken():
+        raise KeyError("coordinate")
+
+    six = row(6, 1)
+    registry = catalog.Registry([("broken", six.key, broken)])
+    monkeypatch.setattr(nonexistence, "construction_registry", lambda: registry)
+    with pytest.raises(KeyError, match="coordinate"):
         decide(six)
 
 

@@ -15,12 +15,10 @@ ALLOWED = {
 
 def unreferenced(package: Path) -> set[str]:
     """module.name of each public top-level def or class of `package` that no
-    module reads, as a name or an attribute; the re-exports of __init__.py
-    and the definition itself do not count."""
+    module reads, as a name or an attribute; importing a name or defining it
+    does not read it."""
     defined, read = [], set()
     for source in sorted(package.glob("*.py")):
-        if source.name == "__init__.py":
-            continue
         tree = ast.parse(source.read_text(encoding="utf-8"))
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -44,3 +42,9 @@ def test_scan_flags_a_name_only_reexported(tmp_path):
                                    "def used():\n    return Kept()\n\ndef _private():\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.used\n")
     assert unreferenced(tmp_path) == {"a.dropped"}
+
+
+def test_package_root_is_its_docstring_alone():
+    # each name has one import path, through its module
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree)
