@@ -1,6 +1,7 @@
-"""The catalog: 22 base constructions, each listed as (label, row key, build)
-with its key computed from its parameters, and the registry of one design per
-parameter row they reach.
+"""The catalog: a table of symmetric designs, the 22 base constructions derived
+from it by the paper's two routes (the Hadamard pairing and the split at a
+point), each as (label, row key, build) with its key computed from its
+parameters, and the registry of one design per parameter row they reach.
 
 The registry adds each base entry's H(n,2)-complement twin and builds a
 design on its first lookup, a twin by complementing its base entry's design;
@@ -23,10 +24,13 @@ def _generated(v: int, k: int, lam: int) -> constructions.SymmetricDesign:
     return symmetric_design(v, k, lam)
 
 
-# (name, v, k, build) of the symmetric designs the catalog splits, all with
-# k < v/2.  The splits of 2-(7,3,1), the plane of order 2 and paley[7], are
-# left out: they land on the rows of hadamard[m=3] and its twin.
+# (name, v, k, build) of each symmetric design the catalog reads, once, with
+# k < v/2: the splits of its complement design add nothing, as their residual
+# split is the H(n,2)-complement of its residual split and their complemented
+# split is its own
 SYMMETRIC = (
+    *((f"sylvester[{e}]", 2 ** e - 1, 2 ** (e - 1) - 1, constructions.hadamard_source(2 ** e))
+      for e in (2, 3)),  # PG(1, 2) and PG(2, 2)
     *((f"plane[{q}]", q * q + q + 1, q + 1, partial(constructions.projective_geometry, 2, q))
       for q in (3, 4, 5)),
     *((f"paley[{q}]", q, (q - 1) // 2, partial(constructions.paley_design, q))
@@ -39,39 +43,30 @@ SYMMETRIC = (
 
 
 def entries() -> list[tuple[str, tuple, partial]]:
-    """The base entries in registry order: the Hadamard pairings (m points of
-    weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m), then the splits
-    of each design in SYMMETRIC, of weight 1 (the residual split has k points
-    on shell k-1 and v-k on shell k; the complemented split moves the k to
-    shell v-k).  Entries with the same source share one build of it, made by
-    the first of them to be built."""
-    # one cached build per (construction, arguments), kept until every entry
-    # reading it is built: both splits of a design read one, hadamard[m=11] and
-    # paley[11] the same Paley 2-(11,5,2), and hadamard[m=15] and sylvester[4]
-    # the same Sylvester 2-(15,7,3)
-    sources: dict = {}
-
-    def shared(source: partial):
-        key = (source.func, source.args)
-        if key not in sources:
-            sources[key] = lru_cache(maxsize=1)(source)
-        return sources[key]
-
-    out = []
-    for m in (3, 7, 11, 15):
-        n = 2 * m
-        out.append((f"hadamard[m={m}]", (n, 2, m, m, m + 1, Fraction(8, n + 2)),
-                    partial(_compose, constructions.hadamard_design,
-                            shared(constructions.hadamard_source(m + 1)))))
-    for name, v, k, source in SYMMETRIC:
-        source = shared(source)
-        n = v - 1
-        out.append((f"residual({name})", (n, k - 1, k, k, v - k, Fraction(1)),
-                    partial(_compose, constructions.from_symmetric_residual, source)))
-        # at v = 2k + 1 its row is the residual split's twin, which the registry adds
-        if 2 * k + 1 != v:
-            out.append((f"complemented({name})", (n, k, v - k, v - k, k, Fraction(1)),
-                        partial(_compose, constructions.from_symmetric_complemented, source)))
+    """The base entries in registry order, derived from SYMMETRIC by three
+    rules: first the pairing of each Hadamard 2-design (2k + 1 = v = m; m
+    points of weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m); then
+    each design's residual split (k points on shell k-1, v-k on shell k) and
+    complemented split (the k moved to shell v-k), of weight 1; and an entry
+    is kept when 6 <= n <= 30 and no earlier entry holds its row or its
+    twin's.  So the splits of 2-(7,3,1) give way to hadamard[m=3], and at
+    v = 2k + 1 the complemented split, the residual split's twin, is dropped.
+    Each design is built once, by the first of its entries built."""
+    table = [(name, v, k, lru_cache(maxsize=1)(source)) for name, v, k, source in SYMMETRIC]
+    candidates = [(f"hadamard[m={v}]", (2 * v, 2, v, v, v + 1, Fraction(8, 2 * v + 2)),
+                   constructions.hadamard_design, source)
+                  for _name, v, k, source in table if 2 * k + 1 == v]
+    for name, v, k, source in table:
+        candidates += [
+            (f"residual({name})", (v - 1, k - 1, k, k, v - k, Fraction(1)),
+             constructions.from_symmetric_residual, source),
+            (f"complemented({name})", (v - 1, k, v - k, v - k, k, Fraction(1)),
+             constructions.from_symmetric_complemented, source)]
+    out, held = [], set()
+    for label, key, construction, source in candidates:
+        if 6 <= key[0] <= 30 and key not in held:
+            out.append((label, key, partial(_compose, construction, source)))
+            held |= {key, twin_key(key)}
     return out
 
 

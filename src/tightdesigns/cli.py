@@ -14,6 +14,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
+EXIT_CLOSED_PIPE = 141  # as a shell reports a process ended by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,12 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="build, verify, and save a design")
     con_sub = p_con.add_subparsers(dest="kind", required=True)
     p_had = con_sub.add_parser("hadamard", help="Hadamard pairing in H(2m,2)")
-    p_had.add_argument("--m", type=int, required=True, help="m = n/2, m = 3 (mod 4)")
+    p_had.add_argument("--m", type=int, required=True,
+                       help=f"m = n/2, m = 3 (mod 4), m <= {constructions.MAX_POINTS}")
     p_had.add_argument("--out", required=True)
     p_sym = con_sub.add_parser("symmetric", help="split a symmetric design at a point")
     source = p_sym.add_mutually_exclusive_group(required=True)
     source.add_argument("--plane", type=int, help="projective plane order (2..5)")
-    source.add_argument("--paley", type=int, help="odd prime power q = 3 (mod 4)")
+    source.add_argument("--paley", type=int,
+                        help=f"odd prime power q = 3 (mod 4), q <= {constructions.MAX_POINTS}")
     p_sym.add_argument("--variant", choices=("residual", "complemented"), default="residual")
     p_sym.add_argument("--complement", action="store_true",
                        help="use the complement of the symmetric design")
@@ -186,7 +189,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the interpreter's last flush must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

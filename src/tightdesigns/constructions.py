@@ -23,7 +23,7 @@ from .hamming import BinaryWord, incidence_fault
 
 
 class BadModulus(ValueError):
-    """Paley constructions need an odd prime power q = 3 (mod 4)."""
+    """Paley constructions need an odd prime power q = 3 (mod 4), q <= MAX_POINTS."""
 
 
 class BadOrder(ValueError):
@@ -31,7 +31,8 @@ class BadOrder(ValueError):
 
 
 class UnsupportedOrder(ValueError):
-    """projective_geometry only generates PG(d, q) for d >= 1 and orders q in 2..5."""
+    """projective_geometry only generates PG(d, q) for d >= 1, orders q in 2..5
+    and at most MAX_POINTS points."""
 
 
 class HalfSizeBlock(ValueError):
@@ -41,6 +42,10 @@ class HalfSizeBlock(ValueError):
 class DegenerateDesign(ValueError):
     """Complementing a symmetric design with v - k < 2 is degenerate."""
 
+
+# every symmetric design is refused above this many points before its field is
+# built: PG(8, 2) and Paley's design on GF(503) each build in about 0.3 s
+MAX_POINTS = 511
 
 # ---------------------------------------------------------------------------
 # small finite fields
@@ -132,6 +137,9 @@ def projective_geometry(d: int, q: int) -> SymmetricDesign:
     order; x lies on a's hyperplane iff a.x = 0."""
     if q not in (2, 3, 4, 5) or d < 1:
         raise UnsupportedOrder(f"PG({d}, {q}) needs d >= 1 and an order q in 2..5")
+    # (q^(d+1) - 1)/(q - 1) > 2^d, so a large d is refused before any power is taken
+    if d >= MAX_POINTS.bit_length() or (q ** (d + 1) - 1) // (q - 1) > MAX_POINTS:
+        raise UnsupportedOrder(f"PG({d}, {q}) has more than {MAX_POINTS} points")
     add, mul, one = _field(q)
     points = [vec for vec in product(range(q), repeat=d + 1)
               if next((c for c in vec if c), None) == one]
@@ -152,6 +160,8 @@ def projective_geometry(d: int, q: int) -> SymmetricDesign:
 
 def paley_design(q: int) -> SymmetricDesign:
     """The 2-(q, (q-1)/2, (q-3)/4) design of quadratic-residue translates in GF(q)."""
+    if q > MAX_POINTS:
+        raise BadModulus(f"Paley's design of order {q} has more than {MAX_POINTS} points")
     if _prime_power(q) is None or q % 4 != 3:
         raise BadModulus(f"need an odd prime power q = 3 (mod 4), got {q}")
     add, mul, _one = _field(q)
@@ -197,30 +207,21 @@ def hadamard_design(design: SymmetricDesign) -> WeightedDesign:
     return WeightedDesign(n, tuple(points), tuple(weights))
 
 
-def _coordinate_map(design: SymmetricDesign, base_point: int) -> dict[int, int]:
-    if not 0 <= base_point < design.v:
-        raise ValueError(f"base point {base_point} outside 0..{design.v - 1}")
-    rest = [x for x in range(design.v) if x != base_point]
-    return {x: i + 1 for i, x in enumerate(rest)}
-
-
 def from_symmetric_residual(design: SymmetricDesign, base_point: int = 0) -> WeightedDesign:
     """Split a symmetric 2-(n+1,k,lam) design at a point into shells (k-1, k).
 
-    Blocks through the base point lose it and land on shell k-1 (there are
-    k of them); blocks avoiding it keep their support and land on shell k.
-    All weights are 1.
+    Point x != base_point becomes coordinate x + (x < base_point).  Blocks
+    through the base point lose it and land on shell k-1 (there are k of
+    them, listed first); blocks avoiding it keep their support and land on
+    shell k.  All weights are 1.
     """
-    coord = _coordinate_map(design, base_point)
+    if not 0 <= base_point < design.v:
+        raise ValueError(f"base point {base_point} outside 0..{design.v - 1}")
     n = design.v - 1
-    points = []
-    for block in design.blocks:
-        if base_point in block:
-            points.append(BinaryWord.from_support(n, (coord[x] for x in block if x != base_point)))
-    for block in design.blocks:
-        if base_point not in block:
-            points.append(BinaryWord.from_support(n, (coord[x] for x in block)))
-    return WeightedDesign(n, tuple(points), (Fraction(1),) * len(points))
+    blocks = sorted(design.blocks, key=lambda block: base_point not in block)  # stable
+    points = tuple(BinaryWord.from_support(n, (x + (x < base_point) for x in block
+                                               if x != base_point)) for block in blocks)
+    return WeightedDesign(n, points, (Fraction(1),) * len(points))
 
 
 def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) -> WeightedDesign:
@@ -246,8 +247,8 @@ def hadamard_source(order: int) -> partial:
     """The build of the Hadamard 2-design whose bordered incidence matrix has
     order 4t >= 4, unrun: a partial of projective_geometry (Sylvester's) when
     the order is a power of two, or else of paley_design on GF(order - 1),
-    which raises BadModulus when order - 1 is no prime power.  Catalog entries
-    reading one design compare equal."""
+    which raises BadModulus when order - 1 is no prime power.  Partials compare
+    by identity, so two calls give unequal builds of one design."""
     if order & (order - 1) == 0:
         return partial(projective_geometry, order.bit_length() - 2, 2)
     return partial(paley_design, order - 1)

@@ -12,6 +12,7 @@ import pytest
 from oracles import make_design, parse_csv
 from tightdesigns import cli, constructions
 from tightdesigns.designs import WeightedDesign, load, save
+from tightdesigns.feasibility import CSV_HEADER
 
 
 def run_cli(capsys, *argv):
@@ -251,14 +252,19 @@ def test_decide_rejects_negative_budget_flag(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def run_python(*args, timeout=300, **kwargs):
-    """Run a fresh interpreter with these arguments on the package's source."""
+def program_env() -> dict:
+    """The environment of a fresh interpreter on the package's source."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("DESIGNS_SEARCH_BUDGET", None)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=timeout, **kwargs)
+    return env
+
+
+def run_python(*args, timeout=300, **kwargs):
+    """Run a fresh interpreter with these arguments on the package's source."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=program_env(), timeout=timeout, **kwargs)
 
 
 def run_process(*argv, flags=(), **kwargs):
@@ -303,6 +309,60 @@ def test_search_memory_follows_the_nodes_it_visits():
     assert result.stdout.splitlines() == [
         "42(16) r1=20 r2=21 N1=21 N2=22 w=1: UNDECIDED [shell 1 (21 blocks of size 20, "
         "pairwise meets 9): node budget 400000 exhausted]"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["hadamard", "--m", "4095"], "PG(11, 2) has more than 511 points"),
+    (["hadamard", "--m", "1048575"], "PG(19, 2) has more than 511 points"),
+    (["symmetric", "--paley", "1000003"],
+     "Paley's design of order 1000003 has more than 511 points")])
+def test_construct_refuses_a_design_above_the_point_bound(tmp_path, argv, error):
+    # the refusal comes before any field table is built; without it PG(11, 2)
+    # did not finish in 10 s under a 1 GiB cap, and the larger two would take
+    # about 10^12 steps, so the cap and the timeout make such a build fail fast
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    result = run_process("construct", *argv, "--out", str(tmp_path / "d.json"),
+                         timeout=1, preexec_fn=cap_memory)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {error}\n")
+
+
+def buffered_env() -> dict:
+    """program_env() with the interpreter's default buffering of stdout: with
+    PYTHONUNBUFFERED set, the text layer drops what a partial write to a pipe
+    leaves over instead of raising."""
+    env = program_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("argv", [["decide", "--n", "21", "--format", "json"],
+                                  ["enumerate", "--n-min", "6", "--n-max", "200"]])
+def test_stdout_closed_before_the_first_write_ends_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "tightdesigns.cli", *argv], stdout=write,
+                                stderr=subprocess.PIPE, text=True, env=buffered_env(),
+                                timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_stdout_closed_after_the_first_line_ends_quietly():
+    # enumerate over 6..200 writes its 101,509 bytes at once, more than a pipe
+    # holds, so the write is under way when the reader leaves
+    with subprocess.Popen([sys.executable, "-m", "tightdesigns.cli", "enumerate", "--n-min", "6",
+                           "--n-max", "200"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=buffered_env()) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert first.decode() == CSV_HEADER + "\n"
+    assert (code, stderr) == (141, b"")
 
 
 def test_only_generated_rows_load_the_generator():

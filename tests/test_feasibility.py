@@ -177,3 +177,25 @@ def test_parameter_row_is_hashable_and_frozen():
     assert isinstance(hash(row), int)
     with pytest.raises(AttributeError):
         row.n = 7
+
+
+def test_split_rows_force_the_meets_of_a_symmetric_design():
+    # words within shell i meet in m_i = r_i - alpha_i/2 coordinates, words in
+    # different shells in m_b = r1 - a.  On a split row of a symmetric
+    # 2-(v, k, lam), v = n + 1 and lam = k(k-1)/n, these are the meets that the
+    # split at a point leaves, so adding the point back to any design on the
+    # row gives a 2-(v, k, lam) design: the row holds a design exactly when
+    # 2-(v, k, lam) exists
+    residual = complemented = 0
+    for row in ALL_ROWS:
+        n, r1, r2, v = row.n, row.r1, row.r2, row.n + 1
+        m1, m2, mb = r1 - row.alpha1 // 2, r2 - row.alpha2 // 2, r1 - row.a
+        if row.key == (n, r2 - 1, r2, r2, v - r2, 1):  # residual shape (k-1, k, k, v-k), k = r2
+            lam = Fraction(r2 * (r2 - 1), n)
+            assert m1 + 1 == m2 == mb == lam, row.key
+            residual += 1
+        if row.key == (n, r1, v - r1, v - r1, r1, 1) and 2 * r1 < v:  # (k, v-k, v-k, k), k = r1
+            lam = Fraction(r1 * (r1 - 1), n)
+            assert (m1, m2, mb) == (lam, v - 2 * r1 + lam, r1 - lam), row.key
+            complemented += 1
+    assert (residual, complemented) == (402, 201)

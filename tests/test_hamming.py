@@ -233,10 +233,9 @@ def swapped(blocks):
 
 
 def symmetric_designs():
-    """The catalog's symmetric designs (Hadamard 2-designs of orders 4..16 and
-    the designs it splits), then PG(d, 2) for v = 3..63."""
-    sources = [constructions.hadamard_source(m + 1) for m in (3, 7, 11, 15)]
-    sources += [source for _name, _v, _k, source in catalog.SYMMETRIC]
+    """The catalog's symmetric designs (its Hadamard 2-designs of orders 4..16
+    among them), then PG(d, 2) for v = 3..63."""
+    sources = [source for _name, _v, _k, source in catalog.SYMMETRIC]
     sources += [partial(constructions.projective_geometry, d, 2) for d in range(1, 6)]
     return [source() for source in sources]
 
