@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -15,6 +16,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 EXIT_CLOSED_PIPE = 141  # as a shell reports a process ended by SIGPIPE
+
+_ROW_WRITERS = {"csv": feasibility.to_csv, "json": feasibility.to_json_lines,
+                "table": feasibility.to_table}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="print feasible parameter rows")
     p_enum.add_argument("--n-min", type=int, required=True)
     p_enum.add_argument("--n-max", type=int, required=True)
-    p_enum.add_argument("--format", choices=("csv", "json", "table"), default="csv")
+    p_enum.add_argument("--format", choices=tuple(_ROW_WRITERS), default="csv")
 
     p_verify = sub.add_parser("verify", help="run all checks on a design file")
     p_verify.add_argument("--design", required=True)
@@ -75,12 +79,7 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    if args.format == "csv":
-        sys.stdout.write(feasibility.to_csv(rows))
-    elif args.format == "json":
-        sys.stdout.write(feasibility.to_json_lines(rows))
-    else:
-        sys.stdout.write(feasibility.to_table(rows))
+    sys.stdout.write(_ROW_WRITERS[args.format](rows))
     return EXIT_OK
 
 
@@ -189,6 +188,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # unbuffered stdout (PYTHONUNBUFFERED) drops what a short write to a pipe
+        # leaves over; a buffered layer retries it, so a closed pipe raises
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding=sys.stdout.encoding,
+                                      errors=sys.stdout.errors, line_buffering=True)
     try:
         code = run()
         sys.stdout.flush()

@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional
 
 from .hamming import BinaryWord
@@ -97,30 +98,22 @@ def shells_of(design: WeightedDesign) -> ShellProfile:
 
 
 def relation_profile(design: WeightedDesign) -> RelationProfile:
+    """The distances occurring inside each of the two shells and across them.
+
+    None can be out of range, so none is checked: as |x ^ y| = |x| + |y| -
+    2|x & y|, distinct words of weight r lie at an even distance in
+    2..2*min(r, n - r), and words of weights r1 and r2 lie at a distance with
+    the parity of r1 + r2.
+    """
     profile = shells_of(design)
     if profile.p != 2:
         raise WrongShellCount(f"need exactly 2 shells, found {profile.p}")
     r1, r2 = profile.radii
-    n = design.n
-    within: dict[int, set[int]] = {r1: set(), r2: set()}
-    between: set[int] = set()
-    pts = design.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i].distance(pts[j])
-            wi, wj = pts[i].weight, pts[j].weight
-            if wi == wj:
-                within[wi].add(d)
-            else:
-                between.add(d)
-    for r, dists in within.items():
-        for a in dists:
-            if a % 2 or not 2 <= a <= 2 * min(r, n - r):
-                raise RuntimeError(f"impossible distance {a} inside shell {r}")
-    for g in between:
-        if g % 2 != (r1 + r2) % 2:
-            raise RuntimeError(f"impossible distance {g} between shells {r1} and {r2}")
-    return RelationProfile(r1, r2, frozenset(within[r1]), frozenset(within[r2]), frozenset(between))
+    first, second = ([p for p in design.points if p.weight == r] for r in (r1, r2))
+    within_first, within_second, between = (
+        frozenset(x.distance(y) for x, y in pairs)
+        for pairs in (combinations(first, 2), combinations(second, 2), product(first, second)))
+    return RelationProfile(r1, r2, within_first, within_second, between)
 
 
 def complement(design: WeightedDesign) -> WeightedDesign:

@@ -122,19 +122,9 @@ def enumerate_rows(n_min: int, n_max: int) -> list[ParameterRow]:
     return rows
 
 
-def _csv_fields(row: ParameterRow) -> list[str]:
-    return [
-        str(x)
-        for x in (
-            row.n, row.r1, row.r2, row.n1, row.n2,
-            row.alpha1, row.alpha2, row.gamma, row.w, row.lambda1, row.lambda2,
-        )
-    ]
-
-
 def to_csv(rows) -> str:
     lines = [CSV_HEADER]
-    lines.extend(",".join(_csv_fields(row)) for row in rows)
+    lines.extend(",".join(map(str, row_to_dict(row).values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -153,7 +143,7 @@ def to_json_lines(rows) -> str:
 def to_table(rows) -> str:
     """Aligned text table in the classification table's column order."""
     header = CSV_HEADER.split(",")
-    body = [_csv_fields(row) for row in rows]
+    body = [list(map(str, row_to_dict(row).values())) for row in rows]
     widths = [max(len(h), *(len(line[i]) for line in body)) if body else len(h)
               for i, h in enumerate(header)]
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)

@@ -74,9 +74,6 @@ class BinaryWord:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
-
     def distance(self, other: "BinaryWord") -> int:
         if self.n != other.n:
             raise ValueError("words of different length")

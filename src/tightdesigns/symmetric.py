@@ -25,20 +25,16 @@ from .hamming import holders, meet_classes
 def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
     """A symmetric 2-(v, k, lam) design on points 0..v-1 with base point 0.
 
-    The derived 2-(k, lam, lam - 1) design is every pair of the k blocks
-    through point 0 for lam = 2, and the first 1-rotational 2-(k, 3, 2)
-    design for lam = 3.  Point q + 1 is the q-th derived block.  Raises
-    ValueError for other lam, and when the derived design or the completion
-    does not exist.
+    The derived 2-(k, lam, lam - 1) design is `rotational_blocks(k, lam)`,
+    which for lam = 2 is every pair of the k blocks through point 0.  Point
+    q + 1 is the q-th derived block.  Raises ValueError for lam other than 2
+    and 3, and when the derived design or the completion does not exist.
     """
     if lam * (v - 1) != k * (k - 1):
         raise ValueError(f"lam(v-1) != k(k-1) for 2-({v},{k},{lam})")
-    if lam == 2:
-        derived = list(combinations(range(k), 2))
-    elif lam == 3:
-        derived = rotational_triples(k)
-    else:
+    if lam not in (2, 3):
         raise ValueError(f"the generator builds lam = 2 or 3, not 2-({v},{k},{lam})")
+    derived = rotational_blocks(k, lam)
     # row q: the blocks through point 0 (bit j for the j-th) that hold point q + 1
     rows = [sum(1 << j for j in block) for block in derived]
     columns = holders(rows, k)
@@ -53,23 +49,24 @@ def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
         frozenset(x for x in range(v) if mask >> x & 1) for mask in blocks))
 
 
-def rotational_triples(k: int) -> list[tuple[int, ...]]:
-    """The blocks of the first 1-rotational 2-(k, 3, 2) design, m = k - 1.
+def rotational_blocks(k: int, size: int) -> list[tuple[int, ...]]:
+    """The blocks of the first 1-rotational 2-(k, size, size - 1) design, m = k - 1.
 
     Points 0..m-1 are Z_m, developed by translation; point m is fixed.
-    Orbits are tried in the order of their least triple, each at most once,
-    so the design is the one whose sorted list of base triples is least.
+    Orbits are tried in the order of their least block, each at most once,
+    so the design is the one whose sorted list of base blocks is least.
+    The pair orbits are disjoint, so size 2 gives every pair.
     """
     m = k - 1
     orbits: dict = {}
-    for triple in combinations(range(k), 3):
-        orbit = frozenset(tuple(sorted(x if x == m else (x + s) % m for x in triple))
+    for block in combinations(range(k), size):
+        orbit = frozenset(tuple(sorted(x if x == m else (x + s) % m for x in block))
                           for s in range(m))
         orbits[min(orbit)] = orbit
     order = [sorted(orbits[base]) for base in sorted(orbits)]
-    blocks = _first_cover(order, dict.fromkeys(combinations(range(k), 2), 2), 0)
+    blocks = _first_cover(order, dict.fromkeys(combinations(range(k), 2), size - 1), 0)
     if blocks is None:
-        raise ValueError(f"no 1-rotational 2-({k},3,2) design")
+        raise ValueError(f"no 1-rotational 2-({k},{size},{size - 1}) design")
     return sorted(blocks)
 
 

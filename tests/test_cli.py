@@ -5,6 +5,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -328,41 +329,43 @@ def test_construct_refuses_a_design_above_the_point_bound(tmp_path, argv, error)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {error}\n")
 
 
-def buffered_env() -> dict:
-    """program_env() with the interpreter's default buffering of stdout: with
-    PYTHONUNBUFFERED set, the text layer drops what a partial write to a pipe
-    leaves over instead of raising."""
-    env = program_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
+def stdout_envs() -> list[dict]:
+    """program_env() with PYTHONUNBUFFERED unset, then set to 1.  Unbuffered,
+    the interpreter's text layer drops what a partial write to a pipe leaves
+    over instead of raising, so `cli.main` puts a buffered layer under it."""
+    unset = program_env()
+    unset.pop("PYTHONUNBUFFERED", None)
+    return [unset, dict(unset, PYTHONUNBUFFERED="1")]
 
 
 @pytest.mark.parametrize("argv", [["decide", "--n", "21", "--format", "json"],
                                   ["enumerate", "--n-min", "6", "--n-max", "200"]])
 def test_stdout_closed_before_the_first_write_ends_quietly(argv):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        result = subprocess.run([sys.executable, "-m", "tightdesigns.cli", *argv], stdout=write,
-                                stderr=subprocess.PIPE, text=True, env=buffered_env(),
-                                timeout=60)
-    finally:
-        os.close(write)
-    assert (result.returncode, result.stderr) == (141, "")
+    for env in stdout_envs():
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "tightdesigns.cli", *argv],
+                                    stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                                    timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, ""), env.get("PYTHONUNBUFFERED")
 
 
 def test_stdout_closed_after_the_first_line_ends_quietly():
     # enumerate over 6..200 writes its 101,509 bytes at once, more than a pipe
     # holds, so the write is under way when the reader leaves
-    with subprocess.Popen([sys.executable, "-m", "tightdesigns.cli", "enumerate", "--n-min", "6",
-                           "--n-max", "200"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=buffered_env()) as child:
-        first = child.stdout.readline()
-        child.stdout.close()
-        stderr = child.stderr.read()
-        code = child.wait(timeout=60)
-    assert first.decode() == CSV_HEADER + "\n"
-    assert (code, stderr) == (141, b"")
+    for env in stdout_envs():
+        with subprocess.Popen([sys.executable, "-m", "tightdesigns.cli", "enumerate",
+                               "--n-min", "6", "--n-max", "200"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert first.decode() == CSV_HEADER + "\n"
+        assert (code, stderr) == (141, b""), env.get("PYTHONUNBUFFERED")
 
 
 def test_only_generated_rows_load_the_generator():
@@ -472,6 +475,14 @@ balanced_check (t=2): FAIL
 two-shell checks skipped: shells (0, 2) touch 0 or n
 weight_constancy_check: pass
 """),
+    ("one shell", (), 1, """\
+moments_check (t=2): pass
+balanced_check (t=2): pass
+  lambda_0=15, lambda_1=5, lambda_2=1
+tightness_check: size 15 vs bound 6: NOT TIGHT
+two-shell checks skipped: need exactly 2 shells, found 1
+weight_constancy_check: pass
+"""),
 ]
 
 
@@ -484,6 +495,7 @@ def transcript_design(name):
         "last point dropped": WeightedDesign(6, base.points[:-1], base.weights[:-1]),
         "three shells": make_design(6, [(1,), (1, 2), (1, 2, 3)], [1, 1, 1]),
         "point on shell 0": make_design(6, [(), (1, 2), (3, 4)], [1, 1, 1]),
+        "one shell": make_design(6, list(combinations(range(1, 7), 2)), [1] * 15),
     }[name]
 
 

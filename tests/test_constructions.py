@@ -26,7 +26,7 @@ from tightdesigns.constructions import (
 )
 from tightdesigns.designs import relation_profile, shells_of
 from tightdesigns.hamming import holders
-from tightdesigns.symmetric import rotational_triples, symmetric_design
+from tightdesigns.symmetric import rotational_blocks, symmetric_design
 
 
 def fully_verified(design) -> bool:
@@ -273,7 +273,7 @@ def candidate_masks(v, k, lam):
     """The generator's candidate blocks for 2-(v, k, lam), sorted: the k-sets of
     the other points (bit q for point q + 1) meeting every block through the
     base point in lam points."""
-    derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
+    derived = rotational_blocks(k, lam)
     rows = [sum(1 << j for j in block) for block in derived]
     covers = symmetric._covers(rows, holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
     return sorted(sum(1 << q for q in cover) for cover in covers)
@@ -321,7 +321,7 @@ def test_covers_match_the_subset_enumeration():
 def generator_steps(v, k, lam):
     """The arguments of the generator's two exact covers for 2-(v, k, lam):
     the candidate blocks, then their completion."""
-    derived = list(combinations(range(k), 2)) if lam == 2 else rotational_triples(k)
+    derived = rotational_blocks(k, lam)
     rows = [sum(1 << j for j in block) for block in derived]
     candidates = candidate_masks(v, k, lam)
     return [(rows, holders(rows, k), [lam] * k, (1 << len(rows)) - 1, None),
@@ -358,9 +358,13 @@ def test_generator_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_rotational_triples_cover_every_pair_twice():
-    blocks = rotational_triples(10)
-    assert len(blocks) == 30
-    assert {(0, 3, 6), (1, 4, 7), (2, 5, 8)} <= set(blocks)  # the short orbit
+@pytest.mark.parametrize("k, size", [(6, 2), (9, 3), (10, 3)])
+def test_rotational_blocks_cover_every_pair_size_minus_one_times(k, size):
+    blocks = rotational_blocks(k, size)
+    assert len(blocks) == k * (k - 1) // size
     pairs = [pair for block in blocks for pair in combinations(block, 2)]
-    assert all(pairs.count(pair) == 2 for pair in combinations(range(10), 2))
+    assert all(pairs.count(pair) == size - 1 for pair in combinations(range(k), 2))
+    if size == 2:  # the derived design of every lam = 2 design
+        assert blocks == list(combinations(range(k), 2))
+    if k == 10:
+        assert {(0, 3, 6), (1, 4, 7), (2, 5, 8)} <= set(blocks)  # the short orbit

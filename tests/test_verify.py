@@ -183,6 +183,17 @@ def test_full_check_names_every_check():
             full_check(base, t)
 
 
+def test_full_check_stops_the_two_shell_checks_at_the_frame_on_one_shell():
+    # X_2 of H(6,2) passes tightness_check as p = 1, so the frame check is the
+    # first to need two shells
+    results = full_check(full_shell(6, 2))
+    assert [(r.name, r.ok) for r in results] == [
+        ("moments", True), ("balanced", True), ("tightness", False),
+        ("two-shell checks", False), ("weight constancy", True)]
+    assert results[2].report.bound == 6  # n - 1 + p with p = 1
+    assert results[3].lines == ("two-shell checks skipped: need exactly 2 shells, found 1",)
+
+
 # Generic exact oracles: Gaussian elimination, over Fraction or fraction-free over
 # the integers, direct sums and closed forms, independent of the shell intersection
 # counts the checks take their shell averages from.
@@ -451,7 +462,7 @@ def test_first_violation_is_the_first_word_of_its_count_vector():
     assert moments.first_violation == oracle_first_violation(design, 3)
     assert balanced == oracle_balanced(design, 3)
     for j, u, *_ in (moments.first_violation, balanced.first_violation):
-        position = words.index(u.support())
+        position = [BinaryWord.from_support(6, word) for word in words].index(u)
         assert j == 3 and position > 0
         assert counts.index(counts[position]) == position  # the first word of its vector
         assert counts.count(counts[position]) == 4
