@@ -133,17 +133,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    budget = args.budget
-    env = os.environ.get("DESIGNS_SEARCH_BUDGET")
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            print(f"error: DESIGNS_SEARCH_BUDGET must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return EXIT_MALFORMED
-    if budget < 0:
-        print(f"error: search budget must be nonnegative, got {budget}", file=sys.stderr)
+    if args.budget < 0:
+        print(f"error: search budget must be nonnegative, got {args.budget}", file=sys.stderr)
         return EXIT_MALFORMED
     try:
         rows = feasibility.enumerate_rows(args.n, args.n)
@@ -156,7 +147,7 @@ def _cmd_decide(args) -> int:
         return EXIT_MALFORMED
     any_undecided = False
     for i, row in enumerate(rows, start=1 if args.row_index is None else args.row_index):
-        verdict = nonexistence.decide(row, budget=budget)
+        verdict = nonexistence.decide(row, budget=args.budget)
         any_undecided = any_undecided or verdict.undecided
         if args.format == "json":
             print(json.dumps(nonexistence.verdict_to_dict(row, verdict)))

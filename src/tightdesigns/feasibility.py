@@ -26,7 +26,7 @@ from math import gcd
 
 from .hamming import binomial
 
-CSV_HEADER = "n,r1,r2,N1,N2,alpha1,alpha2,gamma,w,lambda1,lambda2"
+COLUMNS = ("n", "r1", "r2", "N1", "N2", "alpha1", "alpha2", "gamma", "w", "lambda1", "lambda2")
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,15 @@ def enumerate_rows(n_min: int, n_max: int) -> list[ParameterRow]:
 
 
 def to_csv(rows) -> str:
-    lines = [CSV_HEADER]
+    lines = [",".join(COLUMNS)]
     lines.extend(",".join(map(str, row_to_dict(row).values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def row_to_dict(row: ParameterRow) -> dict:
-    return {
-        "n": row.n, "r1": row.r1, "r2": row.r2, "N1": row.n1, "N2": row.n2,
-        "alpha1": row.alpha1, "alpha2": row.alpha2, "gamma": row.gamma,
-        "w": str(row.w), "lambda1": str(row.lambda1), "lambda2": str(row.lambda2),
-    }
+    return dict(zip(COLUMNS, (row.n, row.r1, row.r2, row.n1, row.n2, row.alpha1, row.alpha2,
+                              row.gamma, str(row.w), str(row.lambda1), str(row.lambda2)),
+                    strict=True))
 
 
 def to_json_lines(rows) -> str:
@@ -142,11 +140,10 @@ def to_json_lines(rows) -> str:
 
 def to_table(rows) -> str:
     """Aligned text table in the classification table's column order."""
-    header = CSV_HEADER.split(",")
     body = [list(map(str, row_to_dict(row).values())) for row in rows]
     widths = [max(len(h), *(len(line[i]) for line in body)) if body else len(h)
-              for i, h in enumerate(header)]
+              for i, h in enumerate(COLUMNS)]
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [fmt.format(*header)]
+    lines = [fmt.format(*COLUMNS)]
     lines.extend(fmt.format(*line) for line in body)
     return "\n".join(lines) + "\n"

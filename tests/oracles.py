@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tightdesigns.designs import WeightedDesign
-from tightdesigns.feasibility import CSV_HEADER, ParameterRow, candidate_row
+from tightdesigns.feasibility import COLUMNS, ParameterRow, candidate_row
 from tightdesigns.hamming import BinaryWord, binomial, krawtchouk, meet_classes
 from tightdesigns.nonexistence import PairLambdaSolution, _shell_parameters
 
@@ -43,13 +43,13 @@ def make_design(n: int, supports, weights) -> WeightedDesign:
 def parse_csv(text: str) -> list[ParameterRow]:
     """Inverse of to_csv; the overlap parameter a is recovered from gamma."""
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    if not lines or lines[0] != ",".join(COLUMNS):
         raise ValueError("missing or unexpected CSV header")
     rows = []
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 11:
-            raise ValueError(f"expected 11 fields, got {len(fields)}: {line!r}")
+        if len(fields) != len(COLUMNS):
+            raise ValueError(f"expected {len(COLUMNS)} fields, got {len(fields)}: {line!r}")
         n, r1, r2, n1, n2, a1, a2, gamma = (int(x) for x in fields[:8])
         w, l1, l2 = (Fraction(x) for x in fields[8:])
         rows.append(

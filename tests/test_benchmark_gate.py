@@ -26,7 +26,6 @@ def bench(monkeypatch):
     """perfbench/run.py, loaded with its directory on the path; the benchmark
     modules it imports by their bare names are dropped afterwards."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delenv("DESIGNS_SEARCH_BUDGET", raising=False)
     loaded = {name for name in ("clock", "tracing", "workloads") if name in sys.modules}
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     module = importlib.util.module_from_spec(spec)

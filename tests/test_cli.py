@@ -13,7 +13,7 @@ import pytest
 from oracles import make_design, parse_csv
 from tightdesigns import cli, constructions
 from tightdesigns.designs import WeightedDesign, load, save
-from tightdesigns.feasibility import CSV_HEADER
+from tightdesigns.feasibility import COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -142,17 +142,14 @@ def test_flags_must_be_spelled_in_full():
 def test_decide_budget_flag_and_env(capsys, monkeypatch):
     # row 21(3) is outside the construction catalog, so it needs the search,
     # which finds a witness after 20 nodes; one node is never enough and the
-    # exit code must signal the exhaustion
+    # exit code must signal the exhaustion; the environment has no say
+    monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", "1")
     code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3",
                            "--budget", "1")
     assert code == 3 and "UNDECIDED" in out
-    monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", "1")
-    code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3")
-    assert code == 3
-    monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", "1000000")
     code, out, _ = run_cli(capsys, "decide", "--n", "21", "--row-index", "3",
-                           "--budget", "1")
-    assert code == 0 and "FOUND" in out  # the environment overrides the flag
+                           "--budget", "1000000")
+    assert code == 0 and "FOUND" in out
 
 
 def test_decide_output_is_stable(capsys):
@@ -231,7 +228,6 @@ def readme_commands():
 
 def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DESIGNS_SEARCH_BUDGET", raising=False)
     commands = readme_commands()
     assert [argv[0] for argv in commands] == [
         "enumerate", "construct", "verify", "construct", "construct", "decide", "decide",
@@ -239,13 +235,6 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
-
-
-@pytest.mark.parametrize("value", ["many", "1.5", "-1"])
-def test_decide_rejects_bad_env_budget(capsys, monkeypatch, value):
-    monkeypatch.setenv("DESIGNS_SEARCH_BUDGET", value)
-    code, out, err = run_cli(capsys, "decide", "--n", "6")
-    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_decide_rejects_negative_budget_flag(capsys):
@@ -258,7 +247,6 @@ def program_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("DESIGNS_SEARCH_BUDGET", None)
     return env
 
 
@@ -364,7 +352,7 @@ def test_stdout_closed_after_the_first_line_ends_quietly():
             child.stdout.close()
             stderr = child.stderr.read()
             code = child.wait(timeout=60)
-        assert first.decode() == CSV_HEADER + "\n"
+        assert first.decode() == ",".join(COLUMNS) + "\n"
         assert (code, stderr) == (141, b""), env.get("PYTHONUNBUFFERED")
 
 

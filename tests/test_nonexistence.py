@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     compatibility_rows_scan,
+    make_design,
     moment_counts_exhaustive,
     pair_lambda_solutions_moment,
     point_lambdas_two_equation,
@@ -397,6 +398,19 @@ def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
         decide(six)
 
 
+@pytest.mark.parametrize("source, factor", [(3, 1), (2, 2)])
+def test_decide_holds_a_catalog_design_to_its_row(monkeypatch, source, factor):
+    # 15(3) = (15,6,10,10,6,1) shares n, lambda1, lambda2, alpha1, alpha2 and gamma
+    # with 15(2) = (15,5,9,6,10,1) but not its row; 15(2)'s own design scaled by 2 is
+    # on its row at first-shell weight 2; both pass every check of full_check
+    target = row(15, 2)
+    design = scale_weights(construction_registry()[row(15, source).key][1], factor)
+    monkeypatch.setattr(nonexistence, "construction_registry",
+                        lambda: {target.key: ("swapped", design)})
+    with pytest.raises(RuntimeError, match="is not on that row at first-shell weight 1"):
+        decide(target)
+
+
 def test_decide_raises_a_key_error_of_a_catalog_build(monkeypatch):
     # a KeyError raised while building a catalog design is a fault of the
     # build, not a row missing from the catalog
@@ -515,6 +529,23 @@ def test_every_catalog_entry_lands_on_its_listed_key():
     for key, (label, design) in registry.items():
         assert catalog.row_key(design) == key, label
         assert shells_of(design).shells[0][2] == 1, label
+
+
+def test_catalog_rejects_what_is_not_one_design_per_row():
+    # row_key reads only two shells of constant weight; the registry holds one
+    # entry per row and checks each build against the row it is listed under
+    assert catalog.row_key(make_design(4, [(1, 2), (3, 4)], [1, 1])) is None
+    assert catalog.row_key(make_design(4, [(1,), (2,), (1, 2)], [1, 2, 1])) is None
+    target = row(15, 2)
+
+    def build():  # 15(3)'s design
+        return construction_registry()[row(15, 3).key][1]
+
+    with pytest.raises(ValueError, match="two catalog entries share a row"):
+        catalog.Registry([("first", target.key, build), ("second", target.key, build)])
+    registry = catalog.Registry([("swapped", target.key, build)])
+    with pytest.raises(RuntimeError, match="swapped does not land on row"):
+        registry[target.key]
 
 
 def test_search_leaves_no_reference_cycle():

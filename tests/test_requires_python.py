@@ -38,7 +38,6 @@ def test_selftest_passes_on_the_oldest_python():
     if not probe or probe.returncode or probe.stdout.strip() != str(version):
         pytest.skip(f"no working {name} on PATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("DESIGNS_SEARCH_BUDGET", None)
     result = subprocess.run([interpreter, "-m", "tightdesigns.cli", "selftest"],
                             capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr

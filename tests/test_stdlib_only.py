@@ -29,3 +29,17 @@ def test_package_has_no_assert_statements():
     for source in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
             assert not isinstance(node, ast.Assert), f"{source.name}:{node.lineno} has an assert"
+
+
+def test_package_reads_no_environment_variable():
+    # every input arrives as a command-line argument, so the arguments explain a run
+    names = {"environ", "environb", "getenv", "getenvb"}
+    for source in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            assert name not in names, f"{source.name}:{node.lineno} reads {name}"

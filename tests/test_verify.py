@@ -92,8 +92,9 @@ def test_balanced_violation_reported():
 
 
 def test_moments_t_out_of_range():
-    with pytest.raises(ValueError):
-        moments_check(six_design(), 7)
+    for check in (moments_check, balanced_check):
+        with pytest.raises(ValueError):
+            check(six_design(), 7)
 
 
 def test_tightness_six_design():
@@ -113,8 +114,9 @@ def test_tightness_bound_is_n_plus_one():
 
 
 def test_tightness_errors():
-    with pytest.raises(DegenerateShells):
-        tightness_check(make_design(4, [(), (1, 2)], [1, 1]))  # contains the base point
+    for check in (tightness_check, frame_check):
+        with pytest.raises(DegenerateShells):
+            check(make_design(4, [(), (1, 2)], [1, 1]))  # contains the base point
     with pytest.raises(WrongShellCount):
         tightness_check(make_design(6, [(1,), (1, 2), (1, 2, 3)], [1, 1, 1]))
 
