@@ -12,6 +12,14 @@ counts in place, and computes a mask's support and meet row once, when it
 first takes that mask.  Every choice is made in a fixed order, so the result
 depends on (v, k, lam) alone.  The registry in `catalog` imports this module
 only when it first builds such a design.
+
+The derived design is 1-rotational: translation by 1 in Z_m, m = k - 1, with
+point m fixed, permutes its blocks, so it permutes the k-sets listed.  Each
+of them holds exactly lam blocks through m, since point m must be held lam
+times and each such block holds it once.  So the listing walks from one
+lam-set of the blocks through m per translation orbit and translates what
+it finds (`_candidates`), which gives the same sorted list as one walk over
+everything.
 """
 
 from __future__ import annotations
@@ -27,8 +35,12 @@ def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
 
     The derived 2-(k, lam, lam - 1) design is `rotational_blocks(k, lam)`,
     which for lam = 2 is every pair of the k blocks through point 0.  Point
-    q + 1 is the q-th derived block.  Raises ValueError for lam other than 2
-    and 3, and when the derived design or the completion does not exist.
+    q + 1 is the q-th derived block.  Translation in Z_{k-1}, point k - 1
+    fixed, permutes the derived blocks and so the candidate blocks, and each
+    candidate holds exactly lam derived blocks through point k - 1 (that point
+    is held lam times, once by each such block): the candidates are listed
+    from one lam-set of those per orbit.  Raises ValueError for lam other than
+    2 and 3, and when the derived design or the completion does not exist.
     """
     if lam * (v - 1) != k * (k - 1):
         raise ValueError(f"lam(v-1) != k(k-1) for 2-({v},{k},{lam})")
@@ -38,8 +50,7 @@ def symmetric_design(v: int, k: int, lam: int) -> SymmetricDesign:
     # row q: the blocks through point 0 (bit j for the j-th) that hold point q + 1
     rows = [sum(1 << j for j in block) for block in derived]
     columns = holders(rows, k)
-    candidates = sorted(sum(1 << q for q in cover)
-                        for cover in _covers(rows, columns, [lam] * k, (1 << len(rows)) - 1))
+    candidates = _candidates(derived, rows, columns, lam)
     chosen = next(_covers(candidates, holders(candidates, v - 1), [k - lam] * (v - 1),
                           (1 << len(candidates)) - 1, lam), None)
     if chosen is None:
@@ -60,14 +71,42 @@ def rotational_blocks(k: int, size: int) -> list[tuple[int, ...]]:
     m = k - 1
     orbits: dict = {}
     for block in combinations(range(k), size):
-        orbit = frozenset(tuple(sorted(x if x == m else (x + s) % m for x in block))
-                          for s in range(m))
+        orbit = frozenset(_translate(block, s, m) for s in range(m))
         orbits[min(orbit)] = orbit
     order = [sorted(orbits[base]) for base in sorted(orbits)]
     blocks = _first_cover(order, dict.fromkeys(combinations(range(k), 2), size - 1), 0)
     if blocks is None:
         raise ValueError(f"no 1-rotational 2-({k},{size},{size - 1}) design")
     return sorted(blocks)
+
+
+def _translate(block, s, m):
+    """The block moved by s in Z_m, the fixed point m kept, as a sorted tuple."""
+    return tuple(sorted(x if x == m else (x + s) % m for x in block))
+
+
+def _candidates(derived, rows, columns, lam):
+    """The sorted masks (bit q for the q-th derived block) of the sets of
+    derived blocks that hold each point lam times, listed by orbit (see the
+    module docstring): the walk starts from the least lam-set of each orbit
+    of the blocks through the fixed point m, with point m full and those
+    blocks dropped, and each cover it finds is translated by every shift
+    into one set of ints."""
+    m = len(columns) - 1
+    index = {block: q for q, block in enumerate(derived)}
+    moves = [[index[_translate(block, s, m)] for block in derived] for s in range(m)]
+    live = ((1 << len(rows)) - 1) & ~columns[m]
+    seen, found = {}, set()
+    for start in combinations([q for q in range(len(rows)) if columns[m] >> q & 1], lam):
+        if min(tuple(sorted(move[q] for q in start)) for move in moves) != start:
+            continue
+        need = [lam] * len(columns)
+        for q in start:
+            for x in derived[q]:
+                need[x] -= 1
+        for cover in _walk(rows, columns, need, live, None, seen, start):
+            found.update(sum(1 << move[q] for q in cover) for move in moves)
+    return sorted(found)
 
 
 # The searches below are plain recursive functions, not closures: a closure

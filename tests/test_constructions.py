@@ -272,11 +272,24 @@ def test_symmetric_design_refuses_what_it_cannot_build():
 def candidate_masks(v, k, lam):
     """The generator's candidate blocks for 2-(v, k, lam), sorted: the k-sets of
     the other points (bit q for point q + 1) meeting every block through the
-    base point in lam points."""
+    base point in lam points, as the generator lists them."""
     derived = rotational_blocks(k, lam)
     rows = [sum(1 << j for j in block) for block in derived]
-    covers = symmetric._covers(rows, holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
-    return sorted(sum(1 << q for q in cover) for cover in covers)
+    return symmetric._candidates(derived, rows, holders(rows, k), lam)
+
+
+# every parameter set of the generator with k <= 10, 2-(22,7,2) included
+ROTATIONAL_PARAMS = [(4, 3, 2), (7, 4, 2), (11, 5, 2), (16, 6, 2), (22, 7, 2), (29, 8, 2),
+                     (5, 4, 3), (11, 6, 3), (15, 7, 3), (25, 9, 3), (31, 10, 3)]
+
+
+@pytest.mark.parametrize("params", ROTATIONAL_PARAMS)
+def test_orbit_listing_matches_the_full_walk(params):
+    v, k, lam = params
+    derived = rotational_blocks(k, lam)
+    rows = [sum(1 << j for j in block) for block in derived]
+    full = symmetric._covers(rows, holders(rows, k), [lam] * k, (1 << (v - 1)) - 1)
+    assert candidate_masks(*params) == sorted(sum(1 << q for q in cover) for cover in full)
 
 
 @pytest.mark.parametrize("params, count, digest", [
