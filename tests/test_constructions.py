@@ -279,11 +279,9 @@ def candidate_masks(v, k, lam):
 
 
 # every parameter set of the generator with k <= 10, 2-(22,7,2) included
-ROTATIONAL_PARAMS = [(4, 3, 2), (7, 4, 2), (11, 5, 2), (16, 6, 2), (22, 7, 2), (29, 8, 2),
-                     (5, 4, 3), (11, 6, 3), (15, 7, 3), (25, 9, 3), (31, 10, 3)]
-
-
-@pytest.mark.parametrize("params", ROTATIONAL_PARAMS)
+@pytest.mark.parametrize("params", [(4, 3, 2), (7, 4, 2), (11, 5, 2), (16, 6, 2), (22, 7, 2),
+                                    (29, 8, 2), (5, 4, 3), (11, 6, 3), (15, 7, 3), (25, 9, 3),
+                                    (31, 10, 3)])
 def test_orbit_listing_matches_the_full_walk(params):
     v, k, lam = params
     derived = rotational_blocks(k, lam)
