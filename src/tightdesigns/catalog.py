@@ -1,18 +1,20 @@
-"""The catalog: a table of symmetric designs, the 22 base constructions derived
-from it by the paper's two routes (the Hadamard pairing and the split at a
-point), each as (label, row key, build) with its key computed from its
-parameters, and the registry of one design per parameter row they reach.
+"""The catalog: a table of symmetric designs, and the registry of one design
+per parameter row that the paper's two routes reach from it (the Hadamard
+pairing and the split at a point).
 
-The registry adds each base entry's H(n,2)-complement twin and builds a
-design on its first lookup, a twin by complementing its base entry's design;
-the generator's module `symmetric` is imported only then.
+`registry()` is a plain dict from row key to (label, build), with each key
+computed from the parameters of its construction: each of the 22 base
+entries, followed by its H(n,2)-complement twin.  Nothing is built until a
+build is called; each build runs once, keeps its design and drops its maker,
+so a symmetric design is freed once every entry that reads it is built.  The
+generator's module `symmetric` is imported only by the first build that
+needs it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import constructions
 from .designs import WeightedDesign, complement, scale_weights, shells_of
@@ -42,17 +44,20 @@ SYMMETRIC = (
 )
 
 
-def entries() -> list[tuple[str, tuple, partial]]:
-    """The base entries in registry order, derived from SYMMETRIC by three
-    rules: first the pairing of each Hadamard 2-design (2k + 1 = v = m; m
-    points of weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m); then
-    each design's residual split (k points on shell k-1, v-k on shell k) and
-    complemented split (the k moved to shell v-k), of weight 1; and an entry
-    is kept when 6 <= n <= 30 and no earlier entry holds its row or its
-    twin's.  So the splits of 2-(7,3,1) give way to hadamard[m=3], and at
-    v = 2k + 1 the complemented split, the residual split's twin, is dropped.
-    Each design is built once, by the first of its entries built."""
-    table = [(name, v, k, lru_cache(maxsize=1)(source)) for name, v, k, source in SYMMETRIC]
+def registry() -> dict:
+    """Row key -> (label, build of a design with first-shell weight 1), with
+    nothing built.  The base entries come from SYMMETRIC by three rules:
+    first the pairing of each Hadamard 2-design (2k + 1 = v = m; m points of
+    weight 1 on shell 2, m + 1 of weight 8/(n+2) on shell m); then each
+    design's residual split (k points on shell k-1, v-k on shell k) and
+    complemented split (the k moved to shell v-k), of weight 1.  An entry is
+    kept when 6 <= n <= 30 and its row is not yet held, and is followed by its
+    twin complement(label).  Rows are held in twin pairs and twin_key is an
+    involution, so a row is free exactly when its twin's is, and no candidate
+    row is its own twin.  So the splits of 2-(7,3,1) give way to
+    hadamard[m=3], and at v = 2k + 1 the complemented split, the residual
+    split's twin, is dropped."""
+    table = [(name, v, k, _Once(source)) for name, v, k, source in SYMMETRIC]
     candidates = [(f"hadamard[m={v}]", (2 * v, 2, v, v, v + 1, Fraction(8, 2 * v + 2)),
                    constructions.hadamard_design, source)
                   for _name, v, k, source in table if 2 * k + 1 == v]
@@ -62,16 +67,37 @@ def entries() -> list[tuple[str, tuple, partial]]:
              constructions.from_symmetric_residual, source),
             (f"complemented({name})", (v - 1, k, v - k, v - k, k, Fraction(1)),
              constructions.from_symmetric_complemented, source)]
-    out, held = [], set()
+    rows = {}
     for label, key, construction, source in candidates:
-        if 6 <= key[0] <= 30 and key not in held:
-            out.append((label, key, partial(_compose, construction, source)))
-            held |= {key, twin_key(key)}
-    return out
+        if 6 <= key[0] <= 30 and key not in rows:
+            base = _Once(partial(_compose, construction, source))
+            rows[key] = (label, base)
+            rows[twin_key(key)] = (f"complement({label})", _Once(partial(_twin, base, key[5])))
+    return rows
+
+
+class _Once:
+    """A build run on its first call, which keeps its result and drops its maker."""
+
+    __slots__ = ("_make", "_result")
+
+    def __init__(self, make):
+        self._make = make
+
+    def __call__(self):
+        if self._make is not None:
+            self._result = self._make()
+            self._make = None
+        return self._result
 
 
 def _compose(outer, inner):
     return outer(inner())
+
+
+def _twin(base, w):
+    # the base design has first-shell weight 1 and second-shell weight w
+    return scale_weights(complement(base()), 1 / w)
 
 
 def twin_key(key: tuple) -> tuple:
@@ -90,49 +116,3 @@ def row_key(design: WeightedDesign):
     if w1 is None or w2 is None:
         return None
     return (design.n, r1, r2, count1, count2, w2 / w1)
-
-
-def registry() -> Registry:
-    """The registry of entries(), with nothing built."""
-    return Registry(entries())
-
-
-class Registry(Mapping):
-    """Row key -> (label, design with first-shell weight 1).
-
-    Each base entry is followed by its H(n,2)-complement twin, labeled
-    complement(label).  A design is built on its first lookup, checked to
-    land on its row, rescaled and kept; membership, length and iteration
-    build nothing.
-    """
-
-    def __init__(self, base_entries):
-        # key -> (label, design), or (label, build) and for a twin (label, base
-        # entry's key) until the first lookup
-        self._rows: dict = {}
-        for label, key, build in base_entries:
-            self._rows[key] = (label, build)
-            self._rows[twin_key(key)] = (f"complement({label})", key)
-        if len(self._rows) != 2 * len(base_entries):
-            raise ValueError("two catalog entries share a row")
-
-    def __getitem__(self, key):
-        label, design = self._rows[key]
-        if not isinstance(design, WeightedDesign):
-            design = design() if callable(design) else complement(self[design][1])
-            if row_key(design) != key:
-                raise RuntimeError(f"{label} does not land on row {key}")
-            first_shell_weight = shells_of(design).shells[0][2]
-            if first_shell_weight != 1:
-                design = scale_weights(design, 1 / first_shell_weight)
-            self._rows[key] = (label, design)
-        return label, design
-
-    def __contains__(self, key):
-        return key in self._rows
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self):
-        return len(self._rows)

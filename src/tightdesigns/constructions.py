@@ -35,10 +35,6 @@ class UnsupportedOrder(ValueError):
     and at most MAX_POINTS points."""
 
 
-class HalfSizeBlock(ValueError):
-    """The complemented split is undefined when 2k = n+1."""
-
-
 class DegenerateDesign(ValueError):
     """Complementing a symmetric design with v - k < 2 is degenerate."""
 
@@ -213,10 +209,14 @@ def from_symmetric_residual(design: SymmetricDesign, base_point: int = 0) -> Wei
     Point x != base_point becomes coordinate x + (x < base_point).  Blocks
     through the base point lose it and land on shell k-1 (there are k of
     them, listed first); blocks avoiding it keep their support and land on
-    shell k.  All weights are 1.
+    shell k.  All weights are 1.  Raises ValueError unless 2 <= k <= n - 1,
+    as a shell would lie at radius 0 or n.
     """
     if not 0 <= base_point < design.v:
         raise ValueError(f"base point {base_point} outside 0..{design.v - 1}")
+    if not 2 <= design.k <= design.v - 2:
+        raise ValueError(f"the split of 2-({design.v},{design.k},{design.lam}) puts a shell "
+                         "at radius 0 or n: it needs 2 <= k <= v - 2")
     n = design.v - 1
     blocks = sorted(design.blocks, key=lambda block: base_point not in block)  # stable
     points = tuple(BinaryWord.from_support(n, (x + (x < base_point) for x in block
@@ -225,14 +225,14 @@ def from_symmetric_residual(design: SymmetricDesign, base_point: int = 0) -> Wei
 
 
 def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) -> WeightedDesign:
-    """Split variant with shells (k, n-k+1), defined when 2k != n+1.
+    """Split variant with shells (k, n-k+1).
 
     The residual split with its first k points (shell k-1, the blocks
     through the base point) replaced by their complements within the
-    remaining points (shell n-k+1).  All weights are 1.
+    remaining points (shell n-k+1).  All weights are 1.  The two shells
+    never coincide: 2k = n+1 with k >= 2 has no symmetric design, since
+    lam(2k-1) = k(k-1) and gcd(2k-1, k) = 1.
     """
-    if 2 * design.k == design.v:
-        raise HalfSizeBlock("2k = n+1 would collapse both shells")
     residual = from_symmetric_residual(design, base_point)
     k = design.k
     points = tuple(p.complement() for p in residual.points[:k]) + residual.points[k:]
@@ -261,5 +261,4 @@ def known_designs() -> list[tuple[str, WeightedDesign]]:
     `catalog.registry()` itself; the benchmark still times this function."""
     from . import catalog  # the catalog lists this module's constructions
 
-    registry = catalog.registry()
-    return [registry[key] for key in registry]
+    return [(label, build()) for label, build in catalog.registry().values()]

@@ -48,7 +48,6 @@ class ParameterRow:
     w: Fraction
     lambda1: Fraction
     lambda2: Fraction
-    a: int
 
     @property
     def key(self) -> tuple:
@@ -86,9 +85,7 @@ def candidate_row(n: int, r1: int, r2: int, n1: int) -> ParameterRow | None:
     lambda2 = Fraction(binomial(r1, 2) * n1 + w * binomial(r2, 2) * n2, binomial(n, 2))
     if w == 1 and (lambda1.denominator != 1 or lambda2.denominator != 1):
         return None
-    return ParameterRow(
-        n, r1, r2, n1, n2, int(alpha1), int(alpha2), gamma, w, lambda1, lambda2, int(a)
-    )
+    return ParameterRow(n, r1, r2, n1, n2, int(alpha1), int(alpha2), gamma, w, lambda1, lambda2)
 
 
 def enumerate_rows(n_min: int, n_max: int) -> list[ParameterRow]:

@@ -412,8 +412,8 @@ class _Search:
 
 
 @lru_cache(maxsize=1)
-def construction_registry() -> catalog.Registry:
-    """catalog.registry(), made once per process; designs are built on lookup."""
+def construction_registry() -> dict:
+    """catalog.registry(), made once per process; nothing is built until a build is called."""
     return catalog.registry()
 
 
@@ -439,9 +439,10 @@ def decide(row: ParameterRow, budget: int = DEFAULT_BUDGET) -> Verdict:
     filters, and the configuration search on the shell with fewer blocks
     (shell 1 on a tie), whose verdict it returns as it is.
     """
-    registry = construction_registry()
-    if row.key in registry:  # not .get, which would read a KeyError of the build as a miss
-        label, design = registry[row.key]
+    entry = construction_registry().get(row.key)
+    if entry is not None:
+        label, build = entry
+        design = build()
         verify_constructed(row, design)
         witness = {
             "kind": "design",

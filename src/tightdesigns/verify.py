@@ -70,9 +70,6 @@ class CheckResult:
 
     name: str
     ok: bool
-    # MomentsReport, BalancedReport, TightnessReport, RelationProfile, a bool
-    # for the frame and weight-constancy checks, None for skipped two-shell checks
-    report: object
     lines: tuple[str, ...]
 
 
@@ -265,38 +262,37 @@ def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
     """
     results: list[CheckResult] = []
 
-    def add(name, ok, report, *lines):
-        results.append(CheckResult(name, ok, report, lines))
+    def add(name, ok, *lines):
+        results.append(CheckResult(name, ok, lines))
 
     moments = moments_check(design, t)
     if moments.ok:
-        add("moments", True, moments, f"moments_check (t={t}): pass")
+        add("moments", True, f"moments_check (t={t}): pass")
     else:
         j, u, lhs, rhs = moments.first_violation
-        add("moments", False, moments, f"moments_check (t={t}): FAIL",
+        add("moments", False, f"moments_check (t={t}): FAIL",
             f"  violated at j={j}, u={u.to_string()}: {lhs} != {rhs}")
     balanced = balanced_check(design, t)
     if balanced.ok:
         shown = ", ".join(f"lambda_{j}={v}" for j, v in enumerate(balanced.lambdas))
-        add("balanced", True, balanced, f"balanced_check (t={t}): pass", f"  {shown}")
+        add("balanced", True, f"balanced_check (t={t}): pass", f"  {shown}")
     else:
         j, u, observed = balanced.first_violation
-        add("balanced", False, balanced, f"balanced_check (t={t}): FAIL",
+        add("balanced", False, f"balanced_check (t={t}): FAIL",
             f"  violated at j={j}, u={u.to_string()}: covering sum {observed}")
     try:
         tight = tightness_check(design)
-        add("tightness", tight.tight, tight, f"tightness_check: size {tight.size} vs bound "
+        add("tightness", tight.tight, f"tightness_check: size {tight.size} vs bound "
             f"{tight.bound}: {'tight' if tight.tight else 'NOT TIGHT'}")
         frame = frame_check(design)
-        add("frame", frame, frame, f"frame_check: {'pass' if frame else 'FAIL'}")
+        add("frame", frame, f"frame_check: {'pass' if frame else 'FAIL'}")
         relations = relation_profile(design)
-        add("relations", relations.is_coherent, relations,
+        add("relations", relations.is_coherent,
             f"relation_profile: within {sorted(relations.within_first)} / "
             f"{sorted(relations.within_second)}, between {sorted(relations.between)}"
             f" ({'coherent' if relations.is_coherent else 'NOT coherent'})")
     except (WrongShellCount, DegenerateShells, NotTight) as exc:
-        add("two-shell checks", False, None, f"two-shell checks skipped: {exc}")
+        add("two-shell checks", False, f"two-shell checks skipped: {exc}")
     constant = weight_constancy_check(design)
-    add("weight constancy", constant, constant,
-        f"weight_constancy_check: {'pass' if constant else 'FAIL'}")
+    add("weight constancy", constant, f"weight_constancy_check: {'pass' if constant else 'FAIL'}")
     return results

@@ -41,7 +41,7 @@ def make_design(n: int, supports, weights) -> WeightedDesign:
 
 
 def parse_csv(text: str) -> list[ParameterRow]:
-    """Inverse of to_csv; the overlap parameter a is recovered from gamma."""
+    """Inverse of to_csv."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != ",".join(COLUMNS):
         raise ValueError("missing or unexpected CSV header")
@@ -52,9 +52,7 @@ def parse_csv(text: str) -> list[ParameterRow]:
             raise ValueError(f"expected {len(COLUMNS)} fields, got {len(fields)}: {line!r}")
         n, r1, r2, n1, n2, a1, a2, gamma = (int(x) for x in fields[:8])
         w, l1, l2 = (Fraction(x) for x in fields[8:])
-        rows.append(
-            ParameterRow(n, r1, r2, n1, n2, a1, a2, gamma, w, l1, l2, (gamma - (r2 - r1)) // 2)
-        )
+        rows.append(ParameterRow(n, r1, r2, n1, n2, a1, a2, gamma, w, l1, l2))
     return rows
 
 

@@ -220,7 +220,8 @@ def test_criterion_4_property_suites():
                 agreements += 1
 
     # frame identities hold for every constructed tight design, fail when perturbed
-    for key, (label, design) in sorted(construction_registry().items()):
+    for key, (label, build) in sorted(construction_registry().items()):
+        design = build()
         if not verify.frame_check(design):
             failures.append(f"frame check fails for {label}")
         perturbed = WeightedDesign(
@@ -255,7 +256,7 @@ def test_criterion_5_full_scale_claims_note():
     # weight-constancy and frame checks, which criteria 2 and 4 already
     # exercise on every constructed design.
     start = time.monotonic()
-    sample = [design for _label, design in sorted(construction_registry().values())][:4]
+    sample = [build() for _label, build in sorted(construction_registry().values())[:4]]
     failures = []
     for design in sample:
         if not (verify.weight_constancy_check(design) and verify.frame_check(design)):

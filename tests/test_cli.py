@@ -90,6 +90,20 @@ def test_construct_rejects_bad_input(capsys, tmp_path):
     assert code == 2 and "m = 3 (mod 4)" in err
 
 
+@pytest.mark.parametrize("flags, design", [([], "2-(3,1,0)"),
+                                           (["--variant", "complemented"], "2-(3,1,0)"),
+                                           (["--complement"], "2-(3,2,1)")])
+def test_construct_refuses_a_split_with_a_shell_at_radius_0_or_n(capsys, tmp_path, flags, design):
+    # Paley's 2-(3,1,0) and its complement have blocks of 1 and 2 of 3 points
+    target = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "construct", "symmetric", "--paley", "3", *flags,
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: the split of {design} puts a shell at radius 0 or n: " \
+                  "it needs 2 <= k <= v - 2\n"
+    assert not target.exists()
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 4, "points": ["1100", "1100"], "weights": ["1", "1"]}')

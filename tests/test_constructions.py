@@ -12,7 +12,6 @@ from tightdesigns.constructions import (
     BadModulus,
     BadOrder,
     DegenerateDesign,
-    HalfSizeBlock,
     SymmetricDesign,
     UnsupportedOrder,
     complement_design,
@@ -221,9 +220,18 @@ def test_from_symmetric_complemented(make_source, expected):
 
 
 def test_from_symmetric_complemented_half_size():
+    # 2k = v with k >= 2 admits no integral lam, as lam(2k-1) = k(k-1) and
+    # gcd(2k-1, k) = 1; at k = 1, 2-(2,1,0) is refused like every split with
+    # k < 2 or k > v - 2, which would put a shell at radius 0 or n
+    assert all(k * (k - 1) % (2 * k - 1) for k in range(2, 1000))
     tiny = SymmetricDesign(2, 1, 0, (frozenset({0}), frozenset({1})))
-    with pytest.raises(HalfSizeBlock):
-        from_symmetric_complemented(tiny)
+    fano = projective_geometry(2, 2)
+    for design in (tiny, paley_design(3), complement_design(paley_design(3)),
+                   SymmetricDesign(7, 6, 5, tuple(frozenset(range(7)) - {x} for x in range(7)))):
+        for split in (from_symmetric_residual, from_symmetric_complemented):
+            with pytest.raises(ValueError, match="radius 0 or n"):
+                split(design)
+    assert from_symmetric_residual(fano).n == 6
 
 
 def test_base_point_choice_is_isomorphic():

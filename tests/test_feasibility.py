@@ -23,7 +23,6 @@ def test_candidate_row_first_classified():
     assert row is not None
     assert (row.alpha1, row.alpha2, row.gamma) == (4, 4, 3)
     assert (row.w, row.lambda1, row.lambda2) == (1, 3, 1)
-    assert row.a == 1
 
 
 def test_candidate_row_large():
@@ -78,7 +77,7 @@ def test_counting_identities():
         assert r.n1 * r.r1 + r.w * r.n2 * r.r2 == r.n * r.lambda1
         assert (binomial(r.r1, 2) * r.n1 + r.w * binomial(r.r2, 2) * r.n2
                 == binomial(r.n, 2) * r.lambda2)
-        assert r.gamma == r.r2 - r.r1 + 2 * r.a
+        assert r.gamma == r.r2 - r.r1 + 2 * Fraction(r.r1 * (r.n - r.r2), r.n)  # 2a, a integral
 
 
 def test_rows_strictly_increase():
@@ -181,7 +180,7 @@ def test_parameter_row_is_hashable_and_frozen():
 
 def test_split_rows_force_the_meets_of_a_symmetric_design():
     # words within shell i meet in m_i = r_i - alpha_i/2 coordinates, words in
-    # different shells in m_b = r1 - a.  On a split row of a symmetric
+    # different shells in m_b = r1 - a, a = r1(n - r2)/n.  On a split row of a symmetric
     # 2-(v, k, lam), v = n + 1 and lam = k(k-1)/n, these are the meets that the
     # split at a point leaves, so adding the point back to any design on the
     # row gives a 2-(v, k, lam) design: the row holds a design exactly when
@@ -189,7 +188,7 @@ def test_split_rows_force_the_meets_of_a_symmetric_design():
     residual = complemented = 0
     for row in ALL_ROWS:
         n, r1, r2, v = row.n, row.r1, row.r2, row.n + 1
-        m1, m2, mb = r1 - row.alpha1 // 2, r2 - row.alpha2 // 2, r1 - row.a
+        m1, m2, mb = r1 - row.alpha1 // 2, r2 - row.alpha2 // 2, r1 - r1 * (n - r2) // n
         if row.key == (n, r2 - 1, r2, r2, v - r2, 1):  # residual shape (k-1, k, k, v-k), k = r2
             lam = Fraction(r2 * (r2 - 1), n)
             assert m1 + 1 == m2 == mb == lam, row.key

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import sys
+import types
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -390,9 +391,10 @@ def test_decide_verifies_a_design_swapped_in_under_a_verified_row(monkeypatch):
     # a row verified before is checked again
     six = row(6, 1)
     assert decide(six).found
-    design = construction_registry()[six.key][1]
+    design = construction_registry()[six.key][1]()
     bad = WeightedDesign(design.n, design.points, (2 * design.weights[0],) + design.weights[1:])
-    monkeypatch.setattr(nonexistence, "construction_registry", lambda: {six.key: ("bad", bad)})
+    monkeypatch.setattr(nonexistence, "construction_registry",
+                        lambda: {six.key: ("bad", lambda: bad)})
     with pytest.raises(RuntimeError,
                        match="fails the moments, balanced, frame, weight constancy checks"):
         decide(six)
@@ -404,9 +406,9 @@ def test_decide_holds_a_catalog_design_to_its_row(monkeypatch, source, factor):
     # with 15(2) = (15,5,9,6,10,1) but not its row; 15(2)'s own design scaled by 2 is
     # on its row at first-shell weight 2; both pass every check of full_check
     target = row(15, 2)
-    design = scale_weights(construction_registry()[row(15, source).key][1], factor)
+    design = scale_weights(construction_registry()[row(15, source).key][1](), factor)
     monkeypatch.setattr(nonexistence, "construction_registry",
-                        lambda: {target.key: ("swapped", design)})
+                        lambda: {target.key: ("swapped", lambda: design)})
     with pytest.raises(RuntimeError, match="is not on that row at first-shell weight 1"):
         decide(target)
 
@@ -418,8 +420,8 @@ def test_decide_raises_a_key_error_of_a_catalog_build(monkeypatch):
         raise KeyError("coordinate")
 
     six = row(6, 1)
-    registry = catalog.Registry([("broken", six.key, broken)])
-    monkeypatch.setattr(nonexistence, "construction_registry", lambda: registry)
+    monkeypatch.setattr(nonexistence, "construction_registry",
+                        lambda: {six.key: ("broken", broken)})
     with pytest.raises(KeyError, match="coordinate"):
         decide(six)
 
@@ -481,12 +483,12 @@ REGISTRY_SHA256 = ("d0ac4c7f4b4d86358660a22cae92e498c97cb3fd0c97de5b118fd8cac542
 
 
 def test_registry_is_pinned_and_closed_under_complement():
-    registry = construction_registry()
-    entries = [(key, label, save(design)) for key, (label, design) in registry.items()]
+    built = {key: (label, build()) for key, (label, build) in construction_registry().items()}
+    entries = [(key, label, save(design)) for key, (label, design) in built.items()]
     assert tuple(hashlib.sha256(repr(part).encode()).hexdigest()
                  for part in (entries[:30], entries[30:])) == REGISTRY_SHA256
-    for (n, r1, r2, n1, n2, w), (label, design) in registry.items():
-        _twin_label, twin = registry[(n, n - r2, n - r1, n2, n1, 1 / w)]
+    for (n, r1, r2, n1, n2, w), (label, design) in built.items():
+        _twin_label, twin = built[(n, n - r2, n - r1, n2, n1, 1 / w)]
         image = complement(design)
         assert scale_weights(image, 1 / shells_of(image).shells[0][2]) == twin, label
 
@@ -506,8 +508,8 @@ def test_registry_builds_each_projective_geometry_once():
     registry = catalog.registry()
     sys.setprofile(profile)
     try:
-        for key in registry:
-            registry[key]
+        for _label, build in registry.values():
+            build()
     finally:
         sys.setprofile(None)
     geometries, paleys = calls.values()
@@ -517,35 +519,52 @@ def test_registry_builds_each_projective_geometry_once():
 
 def test_every_catalog_entry_lands_on_its_listed_key():
     # each key is computed from the entry's parameters, the Hadamard pairings'
-    # w = 8/(n+2) among them; building the entry must land on it
-    entries = catalog.entries()
-    assert len(entries) == 22
-    for label, key, build in entries:
-        assert catalog.row_key(build()) == key, label
+    # w = 8/(n+2) among them; building the entry must land on it at first-shell
+    # weight 1.  Each of the 22 base entries is followed by its twin
     registry = construction_registry()
-    keys = [key for _label, key, _build in entries]
-    keys += [catalog.twin_key(key) for key in keys]
-    assert len(set(keys)) == 44 and set(keys) == set(registry)
-    for key, (label, design) in registry.items():
+    keys, labels = list(registry), [label for label, _build in registry.values()]
+    assert len(keys) == 44
+    assert keys[1::2] == [catalog.twin_key(key) for key in keys[::2]]
+    assert labels[1::2] == [f"complement({label})" for label in labels[::2]]
+    for key, (label, build) in registry.items():
+        design = build()
         assert catalog.row_key(design) == key, label
         assert shells_of(design).shells[0][2] == 1, label
 
 
 def test_catalog_rejects_what_is_not_one_design_per_row():
-    # row_key reads only two shells of constant weight; the registry holds one
-    # entry per row and checks each build against the row it is listed under
+    # row_key reads only two shells of constant weight; a design put on the
+    # wrong row is refused by decide (test_decide_holds_a_catalog_design_to_its_row)
     assert catalog.row_key(make_design(4, [(1, 2), (3, 4)], [1, 1])) is None
     assert catalog.row_key(make_design(4, [(1,), (2,), (1, 2)], [1, 2, 1])) is None
-    target = row(15, 2)
 
-    def build():  # 15(3)'s design
-        return construction_registry()[row(15, 3).key][1]
 
-    with pytest.raises(ValueError, match="two catalog entries share a row"):
-        catalog.Registry([("first", target.key, build), ("second", target.key, build)])
-    registry = catalog.Registry([("swapped", target.key, build)])
-    with pytest.raises(RuntimeError, match="swapped does not land on row"):
-        registry[target.key]
+def test_built_registry_keeps_no_source_and_no_cycle():
+    # each build keeps its design and drops its maker, so once every entry is
+    # built no symmetric design is reachable from the registry, and dropping
+    # the registry frees it by reference counts alone
+    def reachable(root):
+        seen, stack = set(), [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            yield obj
+            stack.extend(gc.get_referents(obj))
+
+    gc.collect()
+    gc.disable()
+    try:
+        registry = catalog.registry()
+        [build() for _label, build in registry.values()]  # no loop name outlives it
+        assert not any(isinstance(obj, constructions.SymmetricDesign)
+                       for obj in reachable(registry))
+        gc.collect()  # what the builds left
+        del registry
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_leaves_no_reference_cycle():

@@ -1,6 +1,7 @@
-"""Every public top-level function and class of the package, and every public
-method and property of such a class, is used by the package: code that only
-tests read belongs in the tests."""
+"""Every public top-level function and class of the package, every public
+method and property of such a class, and every public field of such a
+dataclass, is used by the package: code and data that only tests read belong
+in the tests."""
 
 import ast
 from pathlib import Path
@@ -33,20 +34,35 @@ def unreferenced(package: Path) -> set[str]:
     return {qualified for name, qualified in defined if name not in read}
 
 
-def unread_methods(package: Path) -> set[str]:
-    """module.Class.name of each public method or property of a public
-    top-level class of `package` that no module reads as an attribute."""
+def unread_members(package: Path, members) -> set[str]:
+    """module.Class.name of each public name in members(node) for a public
+    top-level class `node` of `package` that no module reads as an attribute."""
     defined, read = [], set()
     for source in sorted(package.glob("*.py")):
         tree = ast.parse(source.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                defined.extend((item.name, f"{source.stem}.{node.name}.{item.name}")
-                               for item in node.body
-                               if isinstance(item, ast.FunctionDef)
-                               and not item.name.startswith("_"))
+                defined.extend((name, f"{source.stem}.{node.name}.{name}")
+                               for name in members(node) if not name.startswith("_"))
         read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     return {qualified for name, qualified in defined if name not in read}
+
+
+def unread_methods(package: Path) -> set[str]:
+    """Each public method or property of a public class that no module reads."""
+    return unread_members(package, lambda node: [
+        item.name for item in node.body if isinstance(item, ast.FunctionDef)])
+
+
+def unread_fields(package: Path) -> set[str]:
+    """Each public field of a public dataclass that no module reads."""
+    def fields(node):
+        decorators = [getattr(d, "func", d) for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            return []
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return unread_members(package, fields)
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -55,6 +71,10 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_every_public_method_has_a_caller_in_the_package():
     assert unread_methods(PACKAGE) == set()
+
+
+def test_every_public_dataclass_field_is_read_in_the_package():
+    assert unread_fields(PACKAGE) == set()
 
 
 def test_scan_flags_a_name_only_reexported(tmp_path):
@@ -72,6 +92,16 @@ def test_method_scan_flags_a_method_read_only_as_a_name(tmp_path):
                                    "class _Hidden:\n    def unread(self):\n        pass\n\n"
                                    "dropped = Word().kept\n")
     assert unread_methods(tmp_path) == {"a.Word.dropped"}
+
+
+def test_field_scan_flags_a_dataclass_field_never_read(tmp_path):
+    (tmp_path / "a.py").write_text("from dataclasses import dataclass\n\n"
+                                   "@dataclass(frozen=True)\nclass Row:\n    n: int\n"
+                                   "    dropped: int\n    _hidden: int\n\n"
+                                   "@dataclass\nclass Bare:\n    unread: int\n\n"
+                                   "class Plain:\n    ignored: int\n\n"
+                                   "VALUE = Row(1, 2, 3).n\n")
+    assert unread_fields(tmp_path) == {"a.Row.dropped", "a.Bare.unread"}
 
 
 def test_package_root_is_its_docstring_alone():

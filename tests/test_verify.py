@@ -171,12 +171,11 @@ def test_full_check_names_every_check():
     assert [(r.name, r.ok) for r in results] == [
         ("moments", True), ("balanced", True), ("tightness", True), ("frame", True),
         ("relations", True), ("weight constancy", True)]
-    assert results[0].report == moments_check(base, 2)
-    assert results[1].report == balanced_check(base, 2)
-    assert results[2].report == tightness_check(base)
-    assert results[4].report.between == {3}
+    assert results[1].lines == ("balanced_check (t=2): pass", "  lambda_0=7, lambda_1=3, lambda_2=1")
+    assert results[2].lines == ("tightness_check: size 7 vs bound 7: tight",)
+    assert results[4].lines == ("relation_profile: within [4] / [4], between [3] (coherent)",)
     assert [r.name for r in full_check(base, 1)][:2] == ["moments", "balanced"]
-    assert full_check(base, 1)[1].report.lambdas == (7, 3)
+    assert full_check(base, 1)[1].lines[1] == "  lambda_0=7, lambda_1=3"
     untight = WeightedDesign(6, base.points[:-1], base.weights[:-1])
     assert [(r.name, r.ok) for r in full_check(untight)][2:] == [
         ("tightness", False), ("two-shell checks", False), ("weight constancy", True)]
@@ -192,7 +191,7 @@ def test_full_check_stops_the_two_shell_checks_at_the_frame_on_one_shell():
     assert [(r.name, r.ok) for r in results] == [
         ("moments", True), ("balanced", True), ("tightness", False),
         ("two-shell checks", False), ("weight constancy", True)]
-    assert results[2].report.bound == 6  # n - 1 + p with p = 1
+    assert results[2].lines == ("tightness_check: size 15 vs bound 6: NOT TIGHT",)  # n - 1 + p, p = 1
     assert results[3].lines == ("two-shell checks skipped: need exactly 2 shells, found 1",)
 
 
@@ -317,7 +316,8 @@ def perturbations(design):
 
 
 def registry_corpus():
-    for _key, (_label, design) in sorted(construction_registry().items()):
+    for _key, (_label, build) in sorted(construction_registry().items()):
+        design = build()
         yield design, True
         for perturbed in perturbations(design):
             yield perturbed, False
@@ -481,8 +481,7 @@ def test_reports_do_not_depend_on_the_order_of_calls():
 
 
 def test_full_check_counts_each_word_once(monkeypatch):
-    registry = construction_registry()
-    designs = {label: design for label, design in (registry[key] for key in registry)}
+    designs = {label: build() for label, build in construction_registry().values()}
     calls = []
     original = verify.meet_classes
     monkeypatch.setattr(verify, "meet_classes", lambda *args: calls.append(1) or original(*args))
