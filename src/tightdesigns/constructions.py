@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product
 
 from .designs import WeightedDesign
-from .hamming import BinaryWord, incidence_fault
+from .hamming import incidence_fault, word
 
 
 class BadModulus(ValueError):
@@ -33,10 +33,6 @@ class BadOrder(ValueError):
 class UnsupportedOrder(ValueError):
     """projective_geometry only generates PG(d, q) for d >= 1, orders q in 2..5
     and at most MAX_POINTS points."""
-
-
-class DegenerateDesign(ValueError):
-    """Complementing a symmetric design with v - k < 2 is degenerate."""
 
 
 # every symmetric design is refused above this many points before its field is
@@ -168,8 +164,6 @@ def paley_design(q: int) -> SymmetricDesign:
 
 def complement_design(design: SymmetricDesign) -> SymmetricDesign:
     """Blockwise complement: 2-(v, v-k, v-2k+lam)."""
-    if design.v - design.k < 2:
-        raise DegenerateDesign("complement blocks would have fewer than 2 points")
     everything = frozenset(range(design.v))
     return SymmetricDesign(
         design.v,
@@ -194,11 +188,11 @@ def hadamard_design(design: SymmetricDesign) -> WeightedDesign:
         raise BadOrder(f"2-({m},{design.k},{design.lam}) is not a Hadamard 2-design "
                        "2-(m, (m-1)/2, (m-3)/4) with m = 3 (mod 4)")
     n = 2 * m
-    points = [BinaryWord.from_support(n, (2 * j - 1, 2 * j)) for j in range(1, m + 1)]
-    points.append(BinaryWord.from_support(n, range(1, n, 2)))
+    points = [word((2 * j - 1, 2 * j)) for j in range(1, m + 1)]
+    points.append(word(range(1, n, 2)))
     for i in range(m):
         support = (2 * j + 1 if i in block else 2 * j + 2 for j, block in enumerate(design.blocks))
-        points.append(BinaryWord.from_support(n, support))
+        points.append(word(support))
     weights = [Fraction(1)] * m + [Fraction(8, n + 2)] * (m + 1)
     return WeightedDesign(n, tuple(points), tuple(weights))
 
@@ -219,8 +213,8 @@ def from_symmetric_residual(design: SymmetricDesign, base_point: int = 0) -> Wei
                          "at radius 0 or n: it needs 2 <= k <= v - 2")
     n = design.v - 1
     blocks = sorted(design.blocks, key=lambda block: base_point not in block)  # stable
-    points = tuple(BinaryWord.from_support(n, (x + (x < base_point) for x in block
-                                               if x != base_point)) for block in blocks)
+    points = tuple(word(x + (x < base_point) for x in block if x != base_point)
+                   for block in blocks)
     return WeightedDesign(n, points, (Fraction(1),) * len(points))
 
 
@@ -234,8 +228,8 @@ def from_symmetric_complemented(design: SymmetricDesign, base_point: int = 0) ->
     lam(2k-1) = k(k-1) and gcd(2k-1, k) = 1.
     """
     residual = from_symmetric_residual(design, base_point)
-    k = design.k
-    points = tuple(p.complement() for p in residual.points[:k]) + residual.points[k:]
+    k, everything = design.k, (1 << residual.n) - 1
+    points = tuple(p ^ everything for p in residual.points[:k]) + residual.points[k:]
     return WeightedDesign(residual.n, points, residual.weights)
 
 

@@ -1,4 +1,8 @@
-"""Weighted design model: shell decomposition, relation profiles, complements, file I/O."""
+"""Weighted design model: shell decomposition, relation profiles, complements, file I/O.
+
+A point is the int bit mask of its support, coordinate i at bit i - 1 (see
+`hamming.word`); n is kept once, on the design.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
-
-from .hamming import BinaryWord
 
 
 class MalformedFile(ValueError):
@@ -25,20 +27,24 @@ _WEIGHT_RE = re.compile(r"-?\d+(/\d+)?")
 
 @dataclass(frozen=True)
 class WeightedDesign:
-    """A finite weighted point set of H(n,2); the base point is all-zeros."""
+    """A finite weighted point set of H(n,2); the base point is all-zeros.
+
+    Each point is a bit mask 0 <= p < 2^n, coordinate i at bit i - 1.
+    """
 
     n: int
-    points: tuple[BinaryWord, ...]
+    points: tuple[int, ...]
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("word length must be positive")
         if not self.points:
             raise ValueError("design must contain at least one point")
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights differ in length")
-        for p in self.points:
-            if p.n != self.n:
-                raise ValueError(f"point length {p.n} does not match n={self.n}")
+        if not all(0 <= p < 1 << self.n for p in self.points):
+            raise ValueError(f"a point lies outside the words of length n={self.n}")
         if len(set(self.points)) != len(self.points):
             raise ValueError("design points must be pairwise distinct")
         for w in self.weights:
@@ -69,10 +75,8 @@ class ShellProfile:
 class RelationProfile:
     """Occurring pairwise distances of a two-shell design."""
 
-    r1: int
-    r2: int
-    within_first: frozenset[int]   # distances inside the r1 shell
-    within_second: frozenset[int]  # distances inside the r2 shell
+    within_first: frozenset[int]   # distances inside the lower shell
+    within_second: frozenset[int]  # distances inside the upper shell
     between: frozenset[int]        # distances across the shells
 
     @property
@@ -88,7 +92,7 @@ class RelationProfile:
 def shells_of(design: WeightedDesign) -> ShellProfile:
     by_weight: dict[int, list[Fraction]] = {}
     for p, w in zip(design.points, design.weights):
-        by_weight.setdefault(p.weight, []).append(w)
+        by_weight.setdefault(p.bit_count(), []).append(w)
     shells = []
     for r in sorted(by_weight):
         ws = by_weight[r]
@@ -108,12 +112,10 @@ def relation_profile(design: WeightedDesign) -> RelationProfile:
     profile = shells_of(design)
     if profile.p != 2:
         raise WrongShellCount(f"need exactly 2 shells, found {profile.p}")
-    r1, r2 = profile.radii
-    first, second = ([p for p in design.points if p.weight == r] for r in (r1, r2))
-    within_first, within_second, between = (
-        frozenset(x.distance(y) for x, y in pairs)
-        for pairs in (combinations(first, 2), combinations(second, 2), product(first, second)))
-    return RelationProfile(r1, r2, within_first, within_second, between)
+    first, second = ([p for p in design.points if p.bit_count() == r] for r in profile.radii)
+    return RelationProfile(*(
+        frozenset((x ^ y).bit_count() for x, y in pairs)
+        for pairs in (combinations(first, 2), combinations(second, 2), product(first, second))))
 
 
 def complement(design: WeightedDesign) -> WeightedDesign:
@@ -124,8 +126,8 @@ def complement(design: WeightedDesign) -> WeightedDesign:
     verbatim and the image of a relative t-design is again one, with the
     same weight on each image point.  It is an involution.
     """
-    pts = tuple(p.complement() for p in design.points)
-    return WeightedDesign(design.n, pts, design.weights)
+    everything = (1 << design.n) - 1
+    return WeightedDesign(design.n, tuple(p ^ everything for p in design.points), design.weights)
 
 
 def scale_weights(design: WeightedDesign, factor) -> WeightedDesign:
@@ -136,11 +138,16 @@ def scale_weights(design: WeightedDesign, factor) -> WeightedDesign:
     return WeightedDesign(design.n, design.points, tuple(w * factor for w in design.weights))
 
 
+def word_string(bits: int, n: int) -> str:
+    """The word as a string of n bits, coordinate 1 first: the form of a design file."""
+    return format(bits, f"0{n}b")[::-1]
+
+
 def save(design: WeightedDesign) -> bytes:
     """Serialize to the design file format (UTF-8 JSON, weights as 'p/q')."""
     obj = {
         "n": design.n,
-        "points": [p.to_string() for p in design.points],
+        "points": [word_string(p, design.n) for p in design.points],
         "weights": [str(w) for w in design.weights],
     }
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
@@ -176,12 +183,12 @@ def load(data) -> WeightedDesign:
     for idx, text in enumerate(points_raw):
         if not isinstance(text, str) or len(text) != n or set(text) - {"0", "1"}:
             raise MalformedFile(f"points[{idx}]: bad bit string {text!r} (need length {n})")
-        points.append(BinaryWord.from_string(text))
+        points.append(int(text[::-1], 2))
     if len(set(points)) != len(points):
-        seen: set[BinaryWord] = set()
+        seen: set[int] = set()
         for idx, p in enumerate(points):
             if p in seen:
-                raise MalformedFile(f"points[{idx}]: duplicate point {p.to_string()!r}")
+                raise MalformedFile(f"points[{idx}]: duplicate point {word_string(p, n)!r}")
             seen.add(p)
     weights = []
     for idx, text in enumerate(weights_raw):

@@ -1,5 +1,10 @@
 """Exact primitives of the binary Hamming scheme H(n,2).
 
+A word of {0,1}^n is the int bit mask of its support, coordinate i at bit
+i - 1; `word` makes one from a support, and n is kept by the design that
+holds the words, not by each word.  Its weight is `bit_count()`, the distance
+of x and y is `(x ^ y).bit_count()`, and its complement is x ^ (2^n - 1).
+
 Everything here is integer arithmetic: binomial coefficients, Krawtchouk
 polynomials, shell intersection counts, bitsets transposed, words split by
 their meet with a support, the incidence check of a block system, and
@@ -11,7 +16,6 @@ exceed 64 bits (C(30,15)^2 scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -34,53 +38,11 @@ def krawtchouk(n: int, k: int, u: int) -> int:
     return sum((-1) ** i * binomial(n - u, k - i) * binomial(u, i) for i in range(k + 1))
 
 
-@dataclass(frozen=True, order=True)
-class BinaryWord:
-    """A word of {0,1}^n with 1-based coordinates, stored as a bit mask."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("word length must be positive")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError("bits outside the coordinate range")
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinaryWord":
-        """Parse a bit string like '110000'; string index 0 is coordinate 1."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
-
-    @classmethod
-    def from_support(cls, n: int, support) -> "BinaryWord":
-        bits = 0
-        for i in support:
-            if not 1 <= i <= n:
-                raise ValueError(f"coordinate {i} outside 1..{n}")
-            bits |= 1 << (i - 1)
-        return cls(n, bits)
-
-    def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def distance(self, other: "BinaryWord") -> int:
-        if self.n != other.n:
-            raise ValueError("words of different length")
-        return (self.bits ^ other.bits).bit_count()
-
-    def complement(self) -> "BinaryWord":
-        return BinaryWord(self.n, self.bits ^ ((1 << self.n) - 1))
+def word(support) -> int:
+    """The word of H(n,2) with this support, distinct 1-based coordinates, as
+    its bit mask: coordinate i is bit i - 1.  Every point of a design is such
+    a mask."""
+    return sum(1 << (i - 1) for i in support)
 
 
 def shell_intersection(n: int, j: int, r: int, nu: int) -> int:

@@ -29,8 +29,8 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of
-from .hamming import BinaryWord, binomial, holders, krawtchouk, meet_classes, shell_intersection
+from .designs import WeightedDesign, WrongShellCount, relation_profile, shells_of, word_string
+from .hamming import binomial, holders, krawtchouk, meet_classes, shell_intersection, word
 
 
 class NotTight(ValueError):
@@ -43,18 +43,16 @@ class DegenerateShells(ValueError):
 
 @dataclass(frozen=True)
 class MomentsReport:
-    t: int
     ok: bool
-    # (j, u, lhs, rhs) for the first failing eigenfunction index, if any
-    first_violation: Optional[tuple[int, BinaryWord, Fraction, Fraction]]
+    # (j, u, lhs, rhs) for the first failing eigenfunction index, if any; u a bit mask
+    first_violation: Optional[tuple[int, int, Fraction, Fraction]]
 
 
 @dataclass(frozen=True)
 class BalancedReport:
-    t: int
     ok: bool
     lambdas: Optional[tuple[Fraction, ...]]  # lambda_0 .. lambda_t when ok
-    first_violation: Optional[tuple[int, BinaryWord, Fraction]]
+    first_violation: Optional[tuple[int, int, Fraction]]  # (j, u, covering sum); u a bit mask
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class CheckResult:
 def _shell_weights(design: WeightedDesign) -> dict[int, Fraction]:
     totals: dict[int, Fraction] = {}
     for p, w in zip(design.points, design.weights):
-        totals[p.weight] = totals.get(p.weight, Fraction(0)) + w
+        totals[p.bit_count()] = totals.get(p.bit_count(), Fraction(0)) + w
     return totals
 
 
@@ -96,9 +94,9 @@ def _meet_table(design: WeightedDesign, j: int):
     denominator = lcm(*(w.denominator for w in design.weights))
     classes: dict[tuple[int, Fraction], int] = {}
     for index, (y, w) in enumerate(zip(design.points, design.weights)):
-        classes[y.weight, w] = classes.get((y.weight, w), 0) | 1 << index
+        classes[y.bit_count(), w] = classes.get((y.bit_count(), w), 0) | 1 << index
     # members[x]: the points with coordinate x set
-    members = [0] + holders([y.bits for y in design.points], n)
+    members = [0] + holders(design.points, n)
     terms, masks = [], []
     for (r, w), mask in classes.items():
         for i in range(max(0, r + j - n), min(r, j) + 1):
@@ -164,8 +162,8 @@ def moments_check(design: WeightedDesign, t: int) -> MomentsReport:
         rhs = _shell_average(n, totals, j, eigenfunction)
         for support, lhs in _sums(design, j, eigenfunction):
             if lhs != rhs:
-                return MomentsReport(t, False, (j, BinaryWord.from_support(n, support), lhs, rhs))
-    return MomentsReport(t, True, None)
+                return MomentsReport(False, (j, word(support), lhs, rhs))
+    return MomentsReport(True, None)
 
 
 def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
@@ -181,10 +179,9 @@ def balanced_check(design: WeightedDesign, t: int) -> BalancedReport:
             if expected is None:
                 expected = covered
             elif covered != expected:
-                u = BinaryWord.from_support(n, support)
-                return BalancedReport(t, False, None, (j, u, covered))
+                return BalancedReport(False, None, (j, word(support), covered))
         lambdas.append(expected)
-    return BalancedReport(t, True, tuple(lambdas), None)
+    return BalancedReport(True, tuple(lambdas), None)
 
 
 def tightness_check(design: WeightedDesign) -> TightnessReport:
@@ -271,7 +268,7 @@ def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
     else:
         j, u, lhs, rhs = moments.first_violation
         add("moments", False, f"moments_check (t={t}): FAIL",
-            f"  violated at j={j}, u={u.to_string()}: {lhs} != {rhs}")
+            f"  violated at j={j}, u={word_string(u, design.n)}: {lhs} != {rhs}")
     balanced = balanced_check(design, t)
     if balanced.ok:
         shown = ", ".join(f"lambda_{j}={v}" for j, v in enumerate(balanced.lambdas))
@@ -279,7 +276,7 @@ def full_check(design: WeightedDesign, t: int = 2) -> list[CheckResult]:
     else:
         j, u, observed = balanced.first_violation
         add("balanced", False, f"balanced_check (t={t}): FAIL",
-            f"  violated at j={j}, u={u.to_string()}: covering sum {observed}")
+            f"  violated at j={j}, u={word_string(u, design.n)}: covering sum {observed}")
     try:
         tight = tightness_check(design)
         add("tightness", tight.tight, f"tightness_check: size {tight.size} vs bound "

@@ -30,13 +30,13 @@ from itertools import combinations
 
 from tightdesigns.designs import WeightedDesign
 from tightdesigns.feasibility import COLUMNS, ParameterRow, candidate_row
-from tightdesigns.hamming import BinaryWord, binomial, krawtchouk, meet_classes
+from tightdesigns.hamming import binomial, krawtchouk, meet_classes, word
 from tightdesigns.nonexistence import PairLambdaSolution, _shell_parameters
 
 
 def make_design(n: int, supports, weights) -> WeightedDesign:
     """Convenience builder from 1-based coordinate supports."""
-    pts = tuple(BinaryWord.from_support(n, s) for s in supports)
+    pts = tuple(word(s) for s in supports)
     return WeightedDesign(n, pts, tuple(Fraction(w) for w in weights))
 
 
@@ -339,17 +339,16 @@ def gram_shell_terms(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
 def brute_shell_sums(n: int) -> dict[int, tuple[int, int, int]]:
     """For each shell 1 <= r <= n-1, the sums over X_r of phi_1, phi_1^2 and
     phi_1 phi_2, by enumerating the shell."""
-    e1 = BinaryWord.from_support(n, (1,))
-    e2 = BinaryWord.from_support(n, (2,))
+    e1, e2 = word((1,)), word((2,))
     sums = {}
     for r in range(1, n):
         s_d0 = s_c0 = s_c2 = 0
         for support in combinations(range(1, n + 1), r):
-            x = BinaryWord.from_support(n, support)
-            q1 = krawtchouk(n, 1, e1.distance(x))
+            x = word(support)
+            q1 = krawtchouk(n, 1, (e1 ^ x).bit_count())
             s_d0 += q1
             s_c0 += q1 * q1
-            s_c2 += q1 * krawtchouk(n, 1, e2.distance(x))
+            s_c2 += q1 * krawtchouk(n, 1, (e2 ^ x).bit_count())
         sums[r] = (s_d0, s_c0, s_c2)
     return sums
 

@@ -15,7 +15,7 @@ from reference_table import EMPTY_N, REFERENCE_ROWS
 from tightdesigns import constructions, verify
 from tightdesigns.designs import WeightedDesign, complement, shells_of
 from tightdesigns.feasibility import enumerate_rows, to_csv
-from tightdesigns.hamming import BinaryWord, binomial, krawtchouk
+from tightdesigns.hamming import binomial, krawtchouk
 from tightdesigns.nonexistence import construction_registry, decide
 
 GOLDEN = Path(__file__).parent / "data" / "parameter_table.csv"
@@ -187,10 +187,10 @@ def test_criterion_4_property_suites():
         corpus.append(design)
         points = list(design.points)
         replacement = next(
-            BinaryWord(design.n, bits)
+            bits
             for bits in range(1, 2**design.n)
-            if BinaryWord(design.n, bits).weight == points[0].weight
-            and BinaryWord(design.n, bits) not in set(points)
+            if bits.bit_count() == points[0].bit_count()
+            and bits not in set(points)
         )
         corpus.append(
             WeightedDesign(design.n, (replacement,) + tuple(points[1:]), design.weights)

@@ -11,7 +11,6 @@ from tightdesigns import cli, constructions, symmetric, verify
 from tightdesigns.constructions import (
     BadModulus,
     BadOrder,
-    DegenerateDesign,
     SymmetricDesign,
     UnsupportedOrder,
     complement_design,
@@ -166,9 +165,14 @@ def test_complement_design(source, expected):
 
 
 def test_complement_design_degenerate():
-    tiny = SymmetricDesign(2, 1, 0, (frozenset({0}), frozenset({1})))
-    with pytest.raises(DegenerateDesign):
-        complement_design(tiny)
+    """The complement of a 2-(v, v-1, v-2), whose blocks miss one point each,
+    is the 2-(v, 1, 0) of the singletons: a valid symmetric design."""
+    for v in range(2, 8):
+        everything = frozenset(range(v))
+        base = SymmetricDesign(v, v - 1, v - 2, tuple(everything - {x} for x in range(v)))
+        image = complement_design(base)
+        assert (image.v, image.k, image.lam) == (v, 1, 0)
+        assert image.blocks == tuple(frozenset({x}) for x in range(v))
 
 
 def test_symmetric_design_validation():

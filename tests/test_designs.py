@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from tightdesigns.designs import (
     scale_weights,
     shells_of,
 )
-from tightdesigns.hamming import BinaryWord
+from tightdesigns.hamming import word
 
 
 def hadamard_six():
@@ -32,7 +33,11 @@ def test_model_validation():
     with pytest.raises(ValueError):
         make_design(4, [(1, 2)], [0])  # nonpositive weight
     with pytest.raises(ValueError):
-        WeightedDesign(4, (BinaryWord.from_string("110"),), (Fraction(1),))  # wrong length
+        WeightedDesign(4, (1 << 4,), (Fraction(1),))  # not a word of length 4
+    with pytest.raises(ValueError):
+        WeightedDesign(4, (-1,), (Fraction(1),))  # no word at all
+    with pytest.raises(ValueError):
+        WeightedDesign(0, (0,), (Fraction(1),))  # words have positive length
     with pytest.raises(ValueError):
         make_design(4, [(1,), (2,)], [1])  # length mismatch
 
@@ -77,6 +82,13 @@ def test_complement_involution_and_parameters():
         image = complement(design)
         assert complement(image) == design
         assert image.weights == design.weights
+    # on every word of length n <= 6: an involution taking shell r to shell n - r
+    for n in range(1, 7):
+        every = WeightedDesign(n, tuple(range(1 << n)), (Fraction(1),) * (1 << n))
+        image = complement(every)
+        assert complement(image) == every
+        assert [q.bit_count() for q in image.points] == [n - p.bit_count() for p in every.points]
+    assert complement(make_design(6, [(1, 2)], [1])).points == (word((3, 4, 5, 6)),)
     # the 14-point design on shells (2,7) with ratio 1/2 maps onto (7,12) with ratio 2
     image = complement(hadamard_fourteen())
     profile = shells_of(image)
@@ -103,6 +115,12 @@ def test_scale_weights():
 def test_save_load_round_trip():
     for design in (hadamard_six(), hadamard_fourteen()):
         assert load(save(design)) == design
+    # every word of length n <= 6 comes back as the same int, coordinate 1 (bit 0) first
+    for n in range(1, 7):
+        for bits in range(1 << n):
+            blob = save(WeightedDesign(n, (bits,), (Fraction(1),)))
+            assert json.loads(blob)["points"] == ["".join(str(bits >> i & 1) for i in range(n))]
+            assert load(blob).points == (bits,)
 
 
 def test_save_format():
@@ -122,6 +140,8 @@ def test_load_weight_fraction():
         ('{"n": 4, "points": ["1100", "1100"], "weights": ["1", "1"]}', "duplicate"),
         ("not json", "invalid JSON"),
         ('{"n": 4, "points": ["110"], "weights": ["1"]}', "bad bit string"),
+        ('{"n": 4, "points": ["10x0"], "weights": ["1"]}', "bad bit string"),
+        ('{"n": 4, "points": ["1_00"], "weights": ["1"]}', "bad bit string"),  # int() takes it
         ('{"n": 4, "points": ["1100"], "weights": ["1.5"]}', "p/q"),
         ('{"n": 4, "points": ["1100"], "weights": ["-1"]}', "positive"),
         ('{"n": 4, "points": ["1100"], "weights": []}', "weights"),

@@ -18,7 +18,6 @@ from tightdesigns import catalog, constructions
 from tightdesigns.constructions import SymmetricDesign
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import (
-    BinaryWord,
     binomial,
     incidence_fault,
     krawtchouk,
@@ -26,6 +25,7 @@ from tightdesigns.hamming import (
     shell_intersection,
     subset_members,
     unrank_subset,
+    word,
 )
 from tightdesigns.nonexistence import check_shell_config, csp_search, pair_lambda_solutions
 
@@ -86,10 +86,10 @@ def test_krawtchouk_identities(n):
 
 def brute_shell_intersection(n, j, r, nu):
     """Enumerate the shell X_r and count words at distance nu from a weight-j word."""
-    u = BinaryWord.from_support(n, range(1, j + 1))
+    u = word(range(1, j + 1))
     count = 0
     for support in combinations(range(1, n + 1), r):
-        if BinaryWord.from_support(n, support).distance(u) == nu:
+        if (word(support) ^ u).bit_count() == nu:
             count += 1
     return count
 
@@ -148,26 +148,12 @@ def test_gram_schmidt_generic_errors():
         gram_schmidt_generic([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]])
 
 
-def test_binary_word_basics():
-    w = BinaryWord.from_string("110000")
-    assert w.n == 6 and w.weight == 2
-    assert w.to_string() == "110000"
-    assert w == BinaryWord.from_support(6, (1, 2))
-    v = BinaryWord.from_support(6, (2, 3, 4))
-    assert w.distance(v) == 3
-    assert w.complement() == BinaryWord.from_support(6, (3, 4, 5, 6))
-    assert w.complement().complement() == w
-
-
-def test_binary_word_errors():
-    with pytest.raises(ValueError):
-        BinaryWord.from_string("10x0")
-    with pytest.raises(ValueError):
-        BinaryWord.from_support(4, (0,))
-    with pytest.raises(ValueError):
-        BinaryWord.from_support(4, (5,))
-    with pytest.raises(ValueError):
-        BinaryWord.from_string("100").distance(BinaryWord.from_string("1000"))
+def test_word_is_the_mask_of_its_support():
+    w = word((1, 2))
+    assert w == 0b11 and w.bit_count() == 2 and word(()) == 0
+    assert (w ^ word((2, 3, 4))).bit_count() == 3
+    assert w ^ (1 << 6) - 1 == word((3, 4, 5, 6))
+    assert word(range(1, 31)) == (1 << 30) - 1
 
 
 def test_meet_classes_match_the_popcount_scan():

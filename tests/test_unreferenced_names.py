@@ -36,7 +36,13 @@ def unreferenced(package: Path) -> set[str]:
 
 def unread_members(package: Path, members) -> set[str]:
     """module.Class.name of each public name in members(node) for a public
-    top-level class `node` of `package` that no module reads as an attribute."""
+    top-level class `node` of `package` that no module reads as an attribute.
+
+    A read is matched by its attribute name alone, whatever object it is read
+    from, so a member that shares its name with an attribute read elsewhere
+    is never flagged: a field `r1` passes because `row.r1` reads a parameter
+    row's, and a field `t` because `args.t` reads a parsed option.  Such
+    fields need a look by hand."""
     defined, read = [], set()
     for source in sorted(package.glob("*.py")):
         tree = ast.parse(source.read_text(encoding="utf-8"))

@@ -14,7 +14,7 @@ from tightdesigns.designs import (
     WrongShellCount,
     shells_of,
 )
-from tightdesigns.hamming import BinaryWord, binomial, krawtchouk
+from tightdesigns.hamming import binomial, krawtchouk, word
 from tightdesigns.nonexistence import construction_registry
 from tightdesigns.verify import (
     BalancedReport,
@@ -58,9 +58,9 @@ def test_moments_perturbed_six_design():
     # swap one weight-3 point for another weight-3 word not in the design
     used = set(base.points)
     replacement = next(
-        BinaryWord.from_support(6, s)
+        word(s)
         for s in combinations(range(1, 7), 3)
-        if BinaryWord.from_support(6, s) not in used
+        if word(s) not in used
     )
     points = list(base.points)
     points[4] = replacement  # a shell-3 point
@@ -241,7 +241,7 @@ def oracle_gram(design):
     n = design.n
     d0 = c0 = c2 = Fraction(0)
     for r, _count, _ in shells_of(design).shells:
-        W = sum(w for p, w in zip(design.points, design.weights) if p.weight == r)
+        W = sum(w for p, w in zip(design.points, design.weights) if p.bit_count() == r)
         t_d0, t_c0, t_c2 = gram_shell_terms(n, r)
         d0, c0, c2 = d0 + W * t_d0, c0 + W * t_c0, c2 + W * t_c2
     g = [[c2] * (n + 1) for _ in range(n + 1)]
@@ -255,7 +255,7 @@ def oracle_gram(design):
 def oracle_frame(design):
     n = design.n
     g = oracle_gram(design)
-    evaluation = [[n - 2 * (y.bits ^ 1 << s).bit_count() for y in design.points]
+    evaluation = [[n - 2 * (y ^ 1 << s).bit_count() for y in design.points]
                   for s in range(n)]
     evaluation.append([1] * design.size)
     size = n + 1
@@ -284,14 +284,14 @@ def oracle_first_violation(design, t):
     n = design.n
     totals = {}
     for p, w in zip(design.points, design.weights):
-        totals[p.weight] = totals.get(p.weight, 0) + w
+        totals[p.bit_count()] = totals.get(p.bit_count(), 0) + w
     for j in range(t + 1):
         # sum_{x in X_r} Q_j(d(u, x)) = Q_r(j) Q_j(j)
         rhs = sum(W * Fraction(krawtchouk(n, r, j) * krawtchouk(n, j, j), binomial(n, r))
                   for r, W in totals.items())
         for support in combinations(range(1, n + 1), j):
-            u = BinaryWord.from_support(n, support)
-            lhs = sum(w * krawtchouk(n, j, u.distance(y))
+            u = word(support)
+            lhs = sum(w * krawtchouk(n, j, (u ^ y).bit_count())
                       for y, w in zip(design.points, design.weights))
             if lhs != rhs:
                 return (j, u, lhs, rhs)
@@ -301,12 +301,12 @@ def oracle_first_violation(design, t):
 def perturbations(design):
     """First weight doubled, last weight tripled, last point swapped within its shell."""
     points = list(design.points)
-    last = points[-1].bits
+    last = points[-1]
     ones = [1 << i for i in range(design.n) if last >> i & 1]
     zeros = [1 << i for i in range(design.n) if not last >> i & 1]
     replacement = next(
-        word for word in (BinaryWord(design.n, last ^ a ^ b) for a in ones for b in zeros)
-        if word not in points
+        bits for bits in (last ^ a ^ b for a in ones for b in zeros)
+        if bits not in points
     )
     return [
         WeightedDesign(design.n, design.points, (design.weights[0] * 2,) + design.weights[1:]),
@@ -356,14 +356,14 @@ def oracle_balanced(design, t):
     lambdas = []
     for j in range(t + 1):
         for support in combinations(range(1, design.n + 1), j):
-            u = BinaryWord.from_support(design.n, support)
+            u = word(support)
             covered = sum(w for y, w in zip(design.points, design.weights)
-                          if u.bits & ~y.bits == 0)
+                          if u & ~y == 0)
             if len(lambdas) == j:
                 lambdas.append(covered)
             elif covered != lambdas[j]:
-                return BalancedReport(t, False, None, (j, u, covered))
-    return BalancedReport(t, True, tuple(lambdas), None)
+                return BalancedReport(False, None, (j, u, covered))
+    return BalancedReport(True, tuple(lambdas), None)
 
 
 def test_balanced_check_matches_direct_sums():
@@ -447,8 +447,8 @@ def test_checks_match_direct_sums_at_every_t():
 def meet_counts(design, support):
     """How many points of each weight and design weight meet the support in each
     number of coordinates: a word's count vector, by direct sums."""
-    u = BinaryWord.from_support(design.n, support).bits
-    return Counter((y.weight, w, (y.bits & u).bit_count())
+    u = word(support)
+    return Counter((y.bit_count(), w, (y & u).bit_count())
                    for y, w in zip(design.points, design.weights))
 
 
@@ -459,12 +459,12 @@ def test_first_violation_is_the_first_word_of_its_count_vector():
     # changes the report
     design = six_design()
     words = list(combinations(range(1, 7), 3))
-    counts = [meet_counts(design, word) for word in words]
+    counts = [meet_counts(design, support) for support in words]
     moments, balanced = moments_check(design, 3), balanced_check(design, 3)
     assert moments.first_violation == oracle_first_violation(design, 3)
     assert balanced == oracle_balanced(design, 3)
     for j, u, *_ in (moments.first_violation, balanced.first_violation):
-        position = [BinaryWord.from_support(6, word) for word in words].index(u)
+        position = [word(support) for support in words].index(u)
         assert j == 3 and position > 0
         assert counts.index(counts[position]) == position  # the first word of its vector
         assert counts.count(counts[position]) == 4
