@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -16,6 +17,7 @@ from oracles import (
 )
 from tightdesigns import catalog, constructions
 from tightdesigns.constructions import SymmetricDesign
+from tightdesigns.designs import WeightedDesign, load
 from tightdesigns.feasibility import enumerate_rows
 from tightdesigns.hamming import (
     binomial,
@@ -154,6 +156,20 @@ def test_word_is_the_mask_of_its_support():
     assert (w ^ word((2, 3, 4))).bit_count() == 3
     assert w ^ (1 << 6) - 1 == word((3, 4, 5, 6))
     assert word(range(1, 31)) == (1 << 30) - 1
+
+
+def test_binary_word_errors():
+    """A word is only a mask, so its range checks live where n is known: a
+    coordinate outside 1..n makes no word of a design, and a design file rejects a bit
+    string of another length or with a letter other than 0 and 1."""
+    with pytest.raises(ValueError):
+        load(json.dumps({"n": 4, "points": ["10x0"], "weights": ["1"]}))
+    with pytest.raises(ValueError):
+        WeightedDesign(4, (word((0,)),), (Fraction(1),))
+    with pytest.raises(ValueError):
+        WeightedDesign(4, (word((5,)),), (Fraction(1),))
+    with pytest.raises(ValueError):
+        load(json.dumps({"n": 4, "points": ["100", "1000"], "weights": ["1", "1"]}))
 
 
 def test_meet_classes_match_the_popcount_scan():
